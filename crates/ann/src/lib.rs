@@ -137,8 +137,9 @@ fn decode_worst(k: u64) -> (u32, f32) {
 
 /// Inner product replicating the workspace gemm kernel bit-for-bit: adds run
 /// over ascending `p` and terms whose **query** element is `±0.0` are
-/// skipped, exactly like the `nn` gemm variant the frozen scorer uses
-/// (`crates/tensor/src/backend/reference.rs`).
+/// skipped, exactly like the `nn` variant of the straight-line gemm oracle
+/// (`crates/tensor/src/oracle.rs`), which the frozen scorer's tiled gemm
+/// reproduces bit for bit.
 #[inline]
 pub fn dot_zskip(q: &[f32], v: &[f32]) -> f32 {
     let mut acc = 0.0f32;

@@ -1,21 +1,21 @@
-//! Thread-scaling and kernel-backend benchmark for the runtime hot paths.
+//! Thread-scaling and kernel benchmark for the runtime hot paths.
 //!
 //! Two sweeps, one report (`BENCH_runtime.json` at the repository root):
 //!
 //! 1. **Thread sweep** — `SSDREC_THREADS` ∈ {1, 2, 4, 8} over the three hot
 //!    paths the runtime accelerates: a full-catalogue-sized gemm, one
-//!    training epoch, and a full evaluation pass (under the default kernel
-//!    backend).
-//! 2. **Kernel backend sweep** — single-threaded, per-kernel timings of the
-//!    `reference` oracle vs the `blocked` backend, via direct
-//!    [`ssdrec_tensor::Backend`] calls: all four gemm transpose variants
-//!    plus the fused element-wise kernels.
+//!    training epoch, and a full evaluation pass.
+//! 2. **Kernel sweep** — single-threaded, per-kernel timings of the
+//!    straight-line [`ssdrec_tensor::oracle`] vs the production kernels,
+//!    via direct slice-level calls, for every kernel whose production form
+//!    differs from the oracle: all four gemm transpose variants plus the
+//!    fused bias+activation.
 //!
 //! Alongside the timings the binary **asserts the determinism contract**:
 //! thread-sweep output bits must be identical at every thread count, and
-//! every kernel-sweep cell must be bit-identical between backends (the v1
-//! kernel bits-contract). In full mode it additionally asserts the blocked
-//! backend's best gemm-variant speedup is ≥ 2× over the reference oracle.
+//! every kernel-sweep cell must be bit-identical between oracle and
+//! production (the v1 kernel bits-contract). In full mode it additionally
+//! asserts the production gemm's best variant is ≥ 2× over the oracle.
 //! Any violation exits non-zero.
 //!
 //! `cargo run --release -p ssdrec-bench --bin bench_runtime [-- --fast]`
@@ -30,9 +30,10 @@ use std::time::Instant;
 
 use ssdrec_data::{make_batches, prepare, Split, SyntheticConfig};
 use ssdrec_models::{evaluate, BackboneKind, RecModel, SeqRec};
-use ssdrec_tensor::backend::{Blocked, Reference, KERNEL_BITS_MAX_ULPS, KERNEL_BITS_VERSION};
-use ssdrec_tensor::kernels::matmul;
-use ssdrec_tensor::{Activation, Adam, Backend, Graph, Rng, Tensor};
+use ssdrec_tensor::gemm::gemm_rows;
+use ssdrec_tensor::kernels::{bias_act_into, matmul};
+use ssdrec_tensor::oracle::{self, KERNEL_BITS_MAX_ULPS, KERNEL_BITS_VERSION};
+use ssdrec_tensor::{Activation, Adam, Graph, Rng, Tensor};
 use ssdrec_testkit::bench::{BenchConfig, Harness};
 
 const SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -159,16 +160,19 @@ struct SweepPoint {
 
 struct KernelPoint {
     kernel: &'static str,
-    reference_ms: f64,
-    blocked_ms: f64,
+    oracle_ms: f64,
+    production_ms: f64,
     speedup: f64,
     bits_match: bool,
 }
 
-/// Single-threaded per-kernel comparison of the two backends, via direct
-/// [`Backend`] trait calls (the runtime pool is not involved, so thread
+/// The signature shared by the production and the oracle gemm.
+type GemmRows = fn(&[f32], bool, &[f32], bool, usize, usize, usize, &mut [f32], usize, usize);
+
+/// Single-threaded per-kernel comparison of oracle and production, via
+/// direct slice-level calls (the runtime pool is not involved, so thread
 /// configuration cannot leak in). Each cell also witnesses the v1 kernel
-/// bits-contract: both backends must produce identical output bits.
+/// bits-contract: both sides must produce identical output bits.
 fn kernel_sweep(cfg: &Config) -> Vec<KernelPoint> {
     let (m, k, n) = (cfg.gemm_m, cfg.gemm_k, cfg.gemm_n);
     let rows = m;
@@ -182,69 +186,64 @@ fn kernel_sweep(cfg: &Config) -> Vec<KernelPoint> {
     let b_t = fill(n * k, 14);
     let x = fill(rows * n, 15);
     let bias = fill(n, 16);
-    let gamma = fill(n, 17);
-    let beta = fill(n, 18);
-    // A causal-ish row mask with the large-finite sentinel the attention
-    // path uses (−1e9), never infinities (finite-input contract).
-    let mask: Vec<f32> = fill(n, 19)
-        .iter()
-        .map(|&v| if v > 0.0 { 0.0 } else { -1e9 })
-        .collect();
 
     let mut points: Vec<KernelPoint> = Vec::new();
-    let mut sweep = |kernel: &'static str, out_len: usize, f: &dyn Fn(&dyn Backend, &mut [f32])| {
-        let time_one = |be: &dyn Backend| {
+    // `f(true, out)` runs the oracle, `f(false, out)` the production kernel.
+    let mut sweep = |kernel: &'static str, out_len: usize, f: &dyn Fn(bool, &mut [f32])| {
+        let time_one = |use_oracle: bool| {
             let mut out = vec![0.0f32; out_len];
             let mut best = f64::INFINITY;
             for _ in 0..cfg.reps.max(1) {
                 let t0 = Instant::now();
                 for _ in 0..iters {
-                    f(be, &mut out);
+                    f(use_oracle, &mut out);
                 }
                 best = best.min(t0.elapsed().as_secs_f64() * 1e3 / iters as f64);
             }
             (best, out)
         };
-        let (reference_ms, ro) = time_one(&Reference);
-        let (blocked_ms, bo) = time_one(&Blocked);
+        let (oracle_ms, oo) = time_one(true);
+        let (production_ms, po) = time_one(false);
         let bits_match =
-            ro.len() == bo.len() && ro.iter().zip(&bo).all(|(a, b)| a.to_bits() == b.to_bits());
+            oo.len() == po.len() && oo.iter().zip(&po).all(|(a, b)| a.to_bits() == b.to_bits());
         points.push(KernelPoint {
             kernel,
-            reference_ms,
-            blocked_ms,
-            speedup: reference_ms / blocked_ms.max(1e-9),
+            oracle_ms,
+            production_ms,
+            speedup: oracle_ms / production_ms.max(1e-9),
             bits_match,
         });
     };
 
-    sweep("gemm_nn", m * n, &|be, out| {
+    let pick = |use_oracle: bool| -> GemmRows {
+        if use_oracle {
+            oracle::gemm_rows
+        } else {
+            gemm_rows
+        }
+    };
+    sweep("gemm_nn", m * n, &|o, out| {
         out.fill(0.0);
-        be.gemm_rows(&a_n, false, &b_n, false, m, k, n, out, 0, m);
+        pick(o)(&a_n, false, &b_n, false, m, k, n, out, 0, m);
     });
-    sweep("gemm_tn", m * n, &|be, out| {
+    sweep("gemm_tn", m * n, &|o, out| {
         out.fill(0.0);
-        be.gemm_rows(&a_t, true, &b_n, false, m, k, n, out, 0, m);
+        pick(o)(&a_t, true, &b_n, false, m, k, n, out, 0, m);
     });
-    sweep("gemm_nt", m * n, &|be, out| {
+    sweep("gemm_nt", m * n, &|o, out| {
         out.fill(0.0);
-        be.gemm_rows(&a_n, false, &b_t, true, m, k, n, out, 0, m);
+        pick(o)(&a_n, false, &b_t, true, m, k, n, out, 0, m);
     });
-    sweep("gemm_tt", m * n, &|be, out| {
+    sweep("gemm_tt", m * n, &|o, out| {
         out.fill(0.0);
-        be.gemm_rows(&a_t, true, &b_t, true, m, k, n, out, 0, m);
+        pick(o)(&a_t, true, &b_t, true, m, k, n, out, 0, m);
     });
-    sweep("bias_act_relu", rows * n, &|be, out| {
-        be.bias_act(&x, &bias, Activation::Relu, out);
-    });
-    sweep("softmax_rows", rows * n, &|be, out| {
-        be.softmax_rows(&x, out, n);
-    });
-    sweep("layer_norm_rows", rows * n, &|be, out| {
-        be.layer_norm_rows(&x, &gamma, &beta, out, n);
-    });
-    sweep("scaled_masked_softmax", rows * n, &|be, out| {
-        be.scaled_masked_softmax(&x, 0.125, Some(&mask), out, n);
+    sweep("bias_act_relu", rows * n, &|o, out| {
+        if o {
+            oracle::bias_act_into(&x, &bias, Activation::Relu, out);
+        } else {
+            bias_act_into(&x, &bias, Activation::Relu, out);
+        }
     });
     points
 }
@@ -259,16 +258,16 @@ fn main() {
         if cfg.fast { " (fast mode)" } else { "" }
     );
 
-    // Kernel backend sweep (single-threaded, direct Backend calls).
+    // Kernel sweep (single-threaded, direct slice-level calls).
     let kernels = kernel_sweep(&cfg);
     for p in &kernels {
         eprintln!(
-            "  kernel {}: reference {:.3} ms, blocked {:.3} ms, {:.2}x, bits_match={}",
-            p.kernel, p.reference_ms, p.blocked_ms, p.speedup, p.bits_match
+            "  kernel {}: oracle {:.3} ms, production {:.3} ms, {:.2}x, bits_match={}",
+            p.kernel, p.oracle_ms, p.production_ms, p.speedup, p.bits_match
         );
         assert!(
             p.bits_match,
-            "kernel {} violated the v1 bits-contract: backends diverged",
+            "kernel {} violated the v1 bits-contract: production diverged from the oracle",
             p.kernel
         );
     }
@@ -282,7 +281,7 @@ fn main() {
     } else {
         assert!(
             gemm_speedup_best >= 2.0,
-            "blocked backend's best gemm variant must be >= 2x over reference, got {gemm_speedup_best:.2}x"
+            "production gemm's best variant must be >= 2x over the oracle, got {gemm_speedup_best:.2}x"
         );
         eprintln!("  kernels: best gemm speedup {gemm_speedup_best:.2}x (>= 2x contract holds)");
     }
@@ -396,9 +395,9 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"kernel\": \"{}\", \"reference_ms\": {:.4}, \"blocked_ms\": {:.4}, \
+                "    {{\"kernel\": \"{}\", \"oracle_ms\": {:.4}, \"production_ms\": {:.4}, \
                  \"speedup\": {:.3}, \"bits_match\": {}}}",
-                p.kernel, p.reference_ms, p.blocked_ms, p.speedup, p.bits_match
+                p.kernel, p.oracle_ms, p.production_ms, p.speedup, p.bits_match
             )
         })
         .collect();
@@ -444,7 +443,7 @@ fn main() {
     std::fs::write(&path, &json).expect("write BENCH_runtime.json");
     println!(
         "bench_runtime: speedup@4 gemm {speedup_gemm_4:.2}x, eval {speedup_eval_4:.2}x, \
-         best 1-thread gemm backend speedup {gemm_speedup_best:.2}x \
+         best 1-thread gemm speedup over the oracle {gemm_speedup_best:.2}x \
          (host has {host_cpus} cpu(s)); wrote {}",
         path.display()
     );

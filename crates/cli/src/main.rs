@@ -56,7 +56,7 @@ use ssdrec_denoise::{Denoiser, Mgsd};
 use ssdrec_graph::{build_graph, build_graph_from_store, GraphConfig, MultiRelationGraph};
 use ssdrec_models::{
     train, train_from_source, train_with_checkpoints, BackboneKind, CheckpointConfig,
-    ContrastiveSeqRec, RecModel, SeqRec, SourceSplit, TrainConfig,
+    ContrastiveSeqRec, RecModel, SeqRec, SourceSplit, TrainConfig, TrainReport,
 };
 use ssdrec_serve::{
     Engine, EngineConfig, EngineSlot, InferenceModel, LoadedModel, ModelLoader, RetrievalConfig,
@@ -91,9 +91,6 @@ fn usage() -> &'static str {
      --user U --k K  serving target (recommend)\n\
      --threads N     compute threads for every subcommand (default: the\n\
                      SSDREC_THREADS env var, else all available cores)\n\
-     --backend reference|blocked   kernel backend for every subcommand\n\
-                     (default: the SSDREC_BACKEND env var, else blocked;\n\
-                     both produce bit-identical results)\n\
      --state PATH    training-state file for periodic checkpointing (train)\n\
      --resume        continue bit-identically from --state if it exists\n\
      --checkpoint-every N   epochs between state saves (default 1)\n\
@@ -125,24 +122,6 @@ fn configure_threads(a: &Args) -> Result<usize, String> {
         n => {
             ssdrec_runtime::set_threads(n);
             Ok(n)
-        }
-    }
-}
-
-/// Apply `--backend reference|blocked` to the process-global kernel backend
-/// and return the effective backend name. Without the flag the backend
-/// honours the `SSDREC_BACKEND` env var (default `blocked`). The v1 kernel
-/// bits-contract makes both backends bit-identical, so — like `--threads` —
-/// this flag only trades wall-clock time, never a bit of output.
-fn configure_backend(a: &Args) -> Result<&'static str, String> {
-    match a.get("backend") {
-        None => Ok(ssdrec_tensor::backend_kind().name()),
-        Some(v) => {
-            let kind = ssdrec_tensor::BackendKind::parse(v).ok_or_else(|| {
-                format!("unknown --backend {v:?} (expected \"reference\" or \"blocked\")")
-            })?;
-            ssdrec_tensor::set_backend(kind);
-            Ok(kind.name())
         }
     }
 }
@@ -406,14 +385,24 @@ fn cmd_train(a: &Args) -> Result<(), String> {
         }
     };
     println!("model : {name}");
-    println!("epochs: {}", test.epochs_run);
-    println!("valid : {}", test.valid);
-    println!("test  : {}", test.test);
+    print_report(&test);
     if let Some(out) = a.get("out") {
         save_params(&store_snapshot, out).map_err(|e| e.to_string())?;
         println!("checkpoint written to {out}");
     }
     Ok(())
+}
+
+/// The summary lines of a training run (train and retrain). A non-zero
+/// skip count means some batches had a NaN/inf loss and took no step.
+fn print_report(r: &TrainReport) {
+    println!("epochs: {}", r.epochs_run);
+    println!(
+        "skipped: {} batch(es) with a non-finite loss",
+        r.nonfinite_batches
+    );
+    println!("valid : {}", r.valid);
+    println!("test  : {}", r.test);
 }
 
 /// `train --data FILE.ssdc [--data-mode windowed|ram]`: the out-of-core
@@ -519,9 +508,7 @@ fn cmd_train_data(a: &Args, data: &str) -> Result<(), String> {
         }
     };
     println!("model : {name}");
-    println!("epochs: {}", report.epochs_run);
-    println!("valid : {}", report.valid);
-    println!("test  : {}", report.test);
+    print_report(&report);
     if let Some(out) = a.get("out") {
         save_params(&store_snapshot, out).map_err(|e| e.to_string())?;
         println!("checkpoint written to {out}");
@@ -809,9 +796,7 @@ fn cmd_retrain(a: &Args) -> Result<(), String> {
                 "published v{:04}: consumed {} new record(s) up to offset {}",
                 t.version, t.delta_records, t.consumed
             );
-            println!("epochs: {}", t.report.epochs_run);
-            println!("valid : {}", t.report.valid);
-            println!("test  : {}", t.report.test);
+            print_report(&t.report);
         }
     }
     Ok(())
@@ -948,10 +933,6 @@ fn main() -> ExitCode {
         eprintln!("error: {e}\n{}", usage());
         return ExitCode::FAILURE;
     }
-    if let Err(e) = configure_backend(&args) {
-        eprintln!("error: {e}\n{}", usage());
-        return ExitCode::FAILURE;
-    }
     // Chaos testing: SSDREC_FAULTS=site:kind:nth[,...] arms deterministic
     // fault injection across every subsystem. Unset means zero overhead.
     match ssdrec_faults::arm_from_env() {
@@ -1006,30 +987,6 @@ mod cli_tests {
         // No flag: keeps whatever the pool already runs.
         assert_eq!(configure_threads(&parse("train")), Ok(3));
         ssdrec_runtime::set_threads(1);
-    }
-
-    #[test]
-    fn backend_flag_selects_kernel_backend_and_rejects_unknown() {
-        // The backend is process-global; serialize against any concurrently
-        // running switched region and restore on exit.
-        ssdrec_tensor::with_backend(ssdrec_tensor::backend_kind(), || {
-            let err = configure_backend(&parse("train --backend turbo")).unwrap_err();
-            assert!(err.contains("--backend"), "got: {err}");
-            assert_eq!(
-                configure_backend(&parse("train --backend reference")),
-                Ok("reference")
-            );
-            assert_eq!(
-                ssdrec_tensor::backend_kind(),
-                ssdrec_tensor::BackendKind::Reference
-            );
-            assert_eq!(
-                configure_backend(&parse("train --backend blocked")),
-                Ok("blocked")
-            );
-            // No flag: keeps whatever is already selected.
-            assert_eq!(configure_backend(&parse("train")), Ok("blocked"));
-        });
     }
 
     #[test]

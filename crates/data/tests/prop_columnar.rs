@@ -6,6 +6,7 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{RwLock, RwLockReadGuard};
 
 use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
 use ssdrec_testkit::{property, Gen};
@@ -15,14 +16,28 @@ use ssdrec_data::{
     Dataset, FormatError, SequenceStore, SyntheticConfig, TruncatedStore,
 };
 
+/// The `write.data` fault site is process-global: while
+/// `faulted_write_leaves_no_torn_output` has it armed, a write in any other
+/// test here would take the fault instead. Writers share this lock; the
+/// fault test holds it alone.
+static WRITES: RwLock<()> = RwLock::new(());
+
+fn shared_writes() -> RwLockReadGuard<'static, ()> {
+    WRITES.read().unwrap_or_else(|p| p.into_inner())
+}
+
 /// A unique scratch path per call (property cases run many files through
-/// the same test thread; reused names would race the atomic rename).
+/// the same test thread; reused names would race the atomic rename). A file
+/// an earlier, failed run left at the path is removed first.
 fn scratch(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("prop-columnar");
     fs::create_dir_all(&dir).expect("create scratch dir");
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!("{tag}-{n}.ssdc"))
+    let path = dir.join(format!("{tag}-{n}.ssdc"));
+    let _ = fs::remove_file(&path);
+    let _ = fs::remove_file(path.with_extension("ssdc.tmp"));
+    path
 }
 
 /// Random dataset: 2–8 users, 5–24 items, sequences of length 0–16, noise
@@ -62,6 +77,7 @@ property! {
     /// decoded dataset reproduces the file byte for byte (the format has
     /// one canonical encoding per dataset).
     fn round_trip_is_byte_exact(ds in arb_dataset()) {
+        let _w = shared_writes();
         let p1 = scratch("rt1");
         let p2 = scratch("rt2");
         encode_dataset(&ds, &p1).expect("encode");
@@ -82,6 +98,7 @@ property! {
     /// `(batch_size, seed)` — and stay so at 1, 2 and 7 compute threads
     /// (batching is deterministic planning; threads only trade wall-clock).
     fn windowed_batches_match_ram_batches(ds in arb_dataset()) {
+        let _w = shared_writes();
         let path = scratch("batch");
         encode_dataset(&ds, &path).expect("encode");
         let reader = ColumnarReader::open(&path).expect("open");
@@ -118,6 +135,7 @@ property! {
     /// Every strict prefix of a valid file is rejected with a typed
     /// [`FormatError`] — never a panic, never a silently short dataset.
     fn truncated_files_are_rejected(ds in arb_dataset()) {
+        let _w = shared_writes();
         let path = scratch("trunc");
         encode_dataset(&ds, &path).expect("encode");
         let bytes = fs::read(&path).unwrap();
@@ -140,6 +158,7 @@ property! {
     /// Flipping any single byte of a valid file is rejected with a typed
     /// [`FormatError`] (every section and the footer are CRC-guarded).
     fn corrupt_files_are_rejected(ds in arb_dataset()) {
+        let _w = shared_writes();
         let path = scratch("corrupt");
         encode_dataset(&ds, &path).expect("encode");
         let bytes = fs::read(&path).unwrap();
@@ -164,6 +183,7 @@ property! {
 /// in-RAM pipeline, minus the RAM.
 #[test]
 fn generate_to_matches_encode_of_generate() {
+    let _w = shared_writes();
     for cfg in [
         SyntheticConfig::beauty().scaled(0.2),
         SyntheticConfig::ml100k().scaled(0.3).with_seed(11),
@@ -190,6 +210,7 @@ fn faulted_write_leaves_no_torn_output() {
     let ds = SyntheticConfig::beauty().scaled(0.1).generate();
     let path = scratch("fault");
     let tmp = path.with_extension("ssdc.tmp");
+    let _exclusive = WRITES.write().unwrap_or_else(|p| p.into_inner());
     let armed = FaultPlan::new().error("write.data", 1).arm();
     match encode_dataset(&ds, &path) {
         Err(FormatError::Io(_)) => {}
@@ -210,6 +231,7 @@ fn faulted_write_leaves_no_torn_output() {
 /// access pattern hops across window boundaries.
 #[test]
 fn windowed_random_access_matches_sequential() {
+    let _w = shared_writes();
     let cfg = SyntheticConfig::yelp().scaled(0.5);
     let path = scratch("window");
     cfg.generate_to(&path).expect("generate_to");

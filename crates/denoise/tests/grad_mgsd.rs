@@ -1,13 +1,13 @@
 //! Finite-difference gradient verification of the MGSD-WSS training loss —
 //! CE through the soft multi-granularity mask plus the weak-supervision
-//! gate loss — under both kernel backends, with and without ground-truth
-//! noise labels (the labelled branch regresses onto constants, the
-//! unlabelled branch onto detached correlation targets).
+//! gate loss — with and without ground-truth noise labels (the labelled
+//! branch regresses onto constants, the unlabelled branch onto detached
+//! correlation targets).
 
 use ssdrec_data::Batch;
 use ssdrec_denoise::Mgsd;
 use ssdrec_models::RecModel;
-use ssdrec_tensor::{fd_check_all_params, with_each_backend, Binding, ParamStore, Rng};
+use ssdrec_tensor::{fd_check_all_params, Binding, ParamStore, Rng};
 
 fn toy_batch(noise: Option<Vec<bool>>) -> Batch {
     Batch {
@@ -27,11 +27,9 @@ fn check(mut model: Mgsd, noise: Option<Vec<bool>>) {
     // across FD perturbations. The seed and the small step are chosen so
     // no central difference straddles a ReLU kink in the backbone.
     let mut store = std::mem::replace(&mut model.store, ParamStore::new());
-    with_each_backend(|_| {
-        fd_check_all_params(&mut store, 1e-3, 2e-3, |g, bind: &Binding| {
-            let mut rng = Rng::seed(17);
-            model.loss(g, bind, &batch, &mut rng)
-        });
+    fd_check_all_params(&mut store, 1e-3, 2e-3, |g, bind: &Binding| {
+        let mut rng = Rng::seed(17);
+        model.loss(g, bind, &batch, &mut rng)
     });
     model.store = store;
 }

@@ -115,8 +115,8 @@ pub fn augment_views(
 
 /// InfoNCE between two view representations `z1, z2` (`B×d`): positives
 /// are the diagonal of `z1 z2ᵀ / τ`, negatives the rest of the batch.
-/// Built from matmul + log-softmax only, so both kernel backends and the
-/// tape-free pooled path run it unchanged.
+/// Built from matmul + log-softmax only, so the tape and the tape-free
+/// pooled path run it unchanged.
 pub fn info_nce(g: &mut Graph, z1: Var, z2: Var, tau: f32) -> Var {
     let b = g.value(z1).shape()[0];
     let z2t = g.transpose_last(z2);

@@ -94,6 +94,10 @@ pub struct TrainReport {
     pub infer_secs: f64,
     /// Final training loss.
     pub final_loss: f32,
+    /// Training batches skipped because their loss was NaN or ±inf (no
+    /// backward pass, no optimizer step), over the epochs this call ran —
+    /// a resumed run counts from its resume point.
+    pub nonfinite_batches: usize,
 }
 
 /// Evaluate a model on a set of examples, returning the rank accumulator.
@@ -291,6 +295,7 @@ pub fn train_from_source<M: RecModel>(
     // allocating a new one, and backward writes into the same workspace.
     let mut g = Graph::with_capacity(Graph::DEFAULT_CAPACITY);
     let mut ws = Gradients::new();
+    let mut nonfinite_batches = 0usize;
 
     for epoch in start_epoch..cfg.epochs {
         epochs_run = epoch + 1;
@@ -312,6 +317,8 @@ pub fn train_from_source<M: RecModel>(
                     g.backward_into(loss, &mut ws);
                     opt.lr = cfg.lr * cfg.lr_schedule.factor(opt.steps() + 1);
                     opt.step(model.store_mut(), &bind, &mut ws);
+                } else {
+                    nonfinite_batches += 1;
                 }
                 model.after_step();
             },
@@ -390,6 +397,7 @@ pub fn train_from_source<M: RecModel>(
         },
         infer_secs,
         final_loss,
+        nonfinite_batches,
     })
 }
 
@@ -462,6 +470,72 @@ mod tests {
         assert!(report.train_secs_per_epoch > 0.0);
         assert!(report.infer_secs > 0.0);
         assert_eq!(report.epochs_run, 1);
+        assert_eq!(report.nonfinite_batches, 0);
+    }
+
+    /// A model whose loss is NaN on every third training batch.
+    struct NanEveryThird {
+        inner: SeqRec,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl RecModel for NanEveryThird {
+        fn store(&self) -> &ssdrec_tensor::ParamStore {
+            self.inner.store()
+        }
+        fn store_mut(&mut self) -> &mut ssdrec_tensor::ParamStore {
+            self.inner.store_mut()
+        }
+        fn loss(
+            &self,
+            g: &mut Graph,
+            bind: &ssdrec_tensor::Binding,
+            batch: &ssdrec_data::Batch,
+            rng: &mut Rng,
+        ) -> ssdrec_tensor::Var {
+            let call = self.calls.get();
+            self.calls.set(call + 1);
+            let loss = self.inner.loss(g, bind, batch, rng);
+            if call % 3 == 1 {
+                g.scale(loss, f32::NAN)
+            } else {
+                loss
+            }
+        }
+        fn eval_scores(
+            &self,
+            g: &mut Graph,
+            bind: &ssdrec_tensor::Binding,
+            batch: &ssdrec_data::Batch,
+        ) -> ssdrec_tensor::Var {
+            self.inner.eval_scores(g, bind, batch)
+        }
+        fn model_name(&self) -> String {
+            "NanEveryThird".into()
+        }
+    }
+
+    #[test]
+    fn nonfinite_batches_are_counted_exactly() {
+        let (num_items, split) = small_split();
+        let mut model = NanEveryThird {
+            inner: SeqRec::new(BackboneKind::Gru4Rec, num_items, 8, 50, 2),
+            calls: std::cell::Cell::new(0),
+        };
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 32,
+            ..TrainConfig::default()
+        };
+        let report = train(&mut model, &split, &cfg);
+        // `loss` runs once per training batch: calls 1, 4, 7, … were NaN.
+        let batches = model.calls.get();
+        assert_eq!(
+            batches,
+            2 * ssdrec_data::make_batches(&split.train, 32, 0).len()
+        );
+        assert_eq!(report.nonfinite_batches, (batches + 1) / 3);
+        assert!(report.final_loss.is_finite());
     }
 }
 

@@ -1,12 +1,11 @@
 //! Finite-difference gradient verification of the contrastive head: the
 //! InfoNCE loss in isolation, and the full joint CE + InfoNCE training loss
-//! of [`ContrastiveSeqRec`] — both run under each kernel backend, so the
-//! matmul / log-softmax backward paths the loss is built from are verified
-//! against finite differences on `reference` and `blocked` alike.
+//! of [`ContrastiveSeqRec`], so the matmul / log-softmax backward paths the
+//! loss is built from are verified against finite differences.
 
 use ssdrec_data::Batch;
 use ssdrec_models::{info_nce, BackboneKind, ContrastiveSeqRec, RecModel};
-use ssdrec_tensor::{fd_check_all_params, with_each_backend, Binding, ParamStore, Rng, Tensor};
+use ssdrec_tensor::{fd_check_all_params, Binding, ParamStore, Rng, Tensor};
 
 fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = Rng::seed(seed);
@@ -22,12 +21,10 @@ fn info_nce_gradients() {
     let mut store = ParamStore::new();
     let z1 = store.add("z1", rand_tensor(&[4, 3], 1));
     let z2 = store.add("z2", rand_tensor(&[4, 3], 2));
-    with_each_backend(|_| {
-        fd_check_all_params(&mut store, 1e-2, 1e-3, |g, bind: &Binding| {
-            let a = bind.var(z1);
-            let b = bind.var(z2);
-            info_nce(g, a, b, 0.5)
-        });
+    fd_check_all_params(&mut store, 1e-2, 1e-3, |g, bind: &Binding| {
+        let a = bind.var(z1);
+        let b = bind.var(z2);
+        info_nce(g, a, b, 0.5)
     });
 }
 
@@ -53,11 +50,9 @@ fn contrastive_joint_loss_gradients() {
     // `loss` reads parameters only through the graph binding, so the store
     // can be moved out of the model for the duration of the check.
     let mut store = std::mem::replace(&mut model.base.store, ParamStore::new());
-    with_each_backend(|_| {
-        fd_check_all_params(&mut store, 1e-3, 2e-3, |g, bind: &Binding| {
-            let mut rng = Rng::seed(9);
-            model.loss(g, bind, &batch, &mut rng)
-        });
+    fd_check_all_params(&mut store, 1e-3, 2e-3, |g, bind: &Binding| {
+        let mut rng = Rng::seed(9);
+        model.loss(g, bind, &batch, &mut rng)
     });
     model.base.store = store;
 }

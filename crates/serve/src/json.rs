@@ -71,11 +71,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so without a cap a request body of repeated `[` would
+/// overflow the thread's stack and abort the whole process; request bodies
+/// nest 2–3 deep.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, nesting deeper than [`MAX_DEPTH`] rejected).
 pub fn parse(s: &str) -> Result<Json, String> {
     let b = s.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser { b, i: 0, depth: 0 };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -88,6 +94,8 @@ pub fn parse(s: &str) -> Result<Json, String> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open around `i`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -112,8 +120,12 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.i
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -121,6 +133,13 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at offset {}", self.i)),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -325,6 +344,27 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse(r#"{"a":1} x"#).is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep).unwrap_err().contains("nesting"));
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert!(parse(&format!("{objects}1{}", "}".repeat(MAX_DEPTH + 1))).is_err());
+    }
+
+    #[test]
+    fn hostile_depth_is_an_error_not_a_stack_overflow() {
+        // Half a million `[` on a thread with the default (2 MiB) stack:
+        // unbounded recursion aborts the process here, the cap returns Err.
+        let body = "[".repeat(500_000);
+        let r = std::thread::spawn(move || parse(&body).is_err())
+            .join()
+            .expect("parser thread must not die");
+        assert!(r);
     }
 
     #[test]

@@ -349,7 +349,6 @@ impl ServerStats {
         format!(
             concat!(
                 "{{\"uptime_secs\":{},\"requests_total\":{},\"qps\":{},",
-                "\"backend\":\"{}\",",
                 "\"model\":{},",
                 "\"retrieval\":{},",
                 "\"latency_ms\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{}}},",
@@ -364,7 +363,6 @@ impl ServerStats {
             f64_to_json(self.uptime_secs()),
             get(&self.requests_total),
             f64_to_json(self.qps()),
-            ssdrec_tensor::backend_kind().name(),
             model,
             retrieval,
             self.latency.count(),
@@ -494,13 +492,6 @@ mod tests {
                 "missing pool field {field}"
             );
         }
-        // The active kernel backend is surfaced so operators can see which
-        // kernels a live server is running.
-        let backend = j.get("backend").and_then(|v| v.as_str()).expect("backend");
-        assert!(
-            backend == "reference" || backend == "blocked",
-            "unexpected backend {backend:?}"
-        );
     }
 
     #[test]

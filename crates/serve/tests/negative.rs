@@ -74,6 +74,22 @@ fn malformed_json_body_is_400_and_server_survives() {
     assert_eq!(status, 200);
 }
 
+/// A body of half a million `[` fits under the 1 MiB body limit. Parsing
+/// it without a nesting cap overflows the connection thread's stack, which
+/// aborts the whole process — no panic handler can catch that.
+#[test]
+fn deeply_nested_json_body_is_400_and_server_survives() {
+    let handle = start_server(Duration::from_secs(5));
+    let addr = handle.addr();
+    let deep = "[".repeat(500_000);
+    let (status, body) = client::post(addr, "/recommend", &deep).expect("response");
+    assert_eq!(status, 400, "deep body gave {status}: {body}");
+    assert!(body.contains("nesting"), "{body}");
+    let (status, _) =
+        client::post(addr, "/recommend", "{\"user\":0,\"seq\":[1,2],\"k\":3}").expect("response");
+    assert_eq!(status, 200);
+}
+
 #[test]
 fn oversized_declared_body_is_rejected() {
     let handle = start_server(Duration::from_secs(5));

@@ -1,0 +1,199 @@
+//! The production gemm: cache-blocked, register-tiled, and bit-identical to
+//! the straight-line [`crate::oracle::gemm_rows`].
+//!
+//! # Why tiling does not change bits
+//!
+//! The oracle computes every output element as one `p`-ascending addition
+//! chain. The tiled gemm computes the *same chain for the same element* —
+//! it only changes where the partial sums live (an 8×8 register tile
+//! instead of the output buffer) and in what order *different* elements are
+//! advanced. Floating-point addition is not reassociated, the operand
+//! packing copies values verbatim, and Rust never contracts `a*b + c` into
+//! an FMA, so the result bits match the oracle exactly.
+//!
+//! Two oracle quirks need care:
+//!
+//! * **Zero skipping.** The `!tb` oracle variants skip `a` elements that
+//!   are exactly `±0.0`; the tiled kernel does not. Adding the skipped
+//!   `±0·b = ±0` term anyway cannot change an accumulator under
+//!   round-to-nearest unless the accumulator is exactly `-0.0` — and an
+//!   accumulation chain that starts at `+0.0` can never produce `-0.0`
+//!   (IEEE 754 only yields `-0` from `(-0) + (-0)`). Output buffers here
+//!   are always `+0`-zeroed (or the result of prior chains with the same
+//!   property), and inputs are finite (see [`gemm_rows`]), so the skipped
+//!   terms are bitwise no-ops.
+//! * **Degenerate `k = 0`.** The `tb` oracle variants still add an empty
+//!   sum (`+0.0`) to every output element; the `!tb` variants add nothing.
+//!   The tiled kernel mirrors both.
+//!
+//! # What is faster
+//!
+//! gemm packs `a` into a `p`-major 8-row panel (and `b` into a `p`-major
+//! matrix for the `tb` variants), turning every variant into the same
+//! unit-stride broadcast-multiply-accumulate over an 8×8 register tile.
+//! The `tb` oracle variants are scalar dot-product reductions the
+//! autovectorizer cannot touch (vectorizing an FP reduction would
+//! reassociate); the tiled form keeps each lane's chain separate, so it
+//! vectorizes across the 8 output columns — that is where the large wins
+//! come from. The `!tb` variants gain from streaming each `b` row once per
+//! 8 output rows instead of once per row.
+
+/// Register-tile rows (output rows advanced together per A panel).
+const MR: usize = 8;
+/// Register-tile columns.
+const NR: usize = 8;
+
+/// Accumulate an `mr×nr` output tile at `(ri0, j0)` of `block` from a
+/// packed A panel (`k×MR`, `p`-major, lanes `ii < mr` valid) and a
+/// `p`-major B (`k×n`).
+///
+/// `from_out` selects the oracle's two accumulation styles: the `!tb`
+/// variants add term-by-term onto the existing output (tile preloads the
+/// output and stores it back), the `tb` variants form a fresh sum and add
+/// it once at the end.
+///
+/// `#[inline(always)]` so the full-tile call site (literal `MR`/`NR`)
+/// const-propagates and the inner loops unroll to straight-line
+/// vectorizable code, while the edge call site keeps runtime bounds.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile(
+    k: usize,
+    ap: &[f32],
+    bm: &[f32],
+    n: usize,
+    j0: usize,
+    mr: usize,
+    nr: usize,
+    block: &mut [f32],
+    ri0: usize,
+    from_out: bool,
+) {
+    let mut acc = [0.0f32; MR * NR];
+    if from_out {
+        for ii in 0..mr {
+            let o = (ri0 + ii) * n + j0;
+            acc[ii * NR..ii * NR + nr].copy_from_slice(&block[o..o + nr]);
+        }
+    }
+    for p in 0..k {
+        let arow = &ap[p * MR..p * MR + MR];
+        let brow = &bm[p * n + j0..p * n + j0 + nr];
+        for ii in 0..mr {
+            let av = arow[ii];
+            let dst = &mut acc[ii * NR..ii * NR + nr];
+            for (o, &bv) in dst.iter_mut().zip(brow.iter()) {
+                *o += av * bv;
+            }
+        }
+    }
+    if from_out {
+        for ii in 0..mr {
+            let o = (ri0 + ii) * n + j0;
+            block[o..o + nr].copy_from_slice(&acc[ii * NR..ii * NR + nr]);
+        }
+    } else {
+        for ii in 0..mr {
+            let o = (ri0 + ii) * n + j0;
+            for (d, &v) in block[o..o + nr]
+                .iter_mut()
+                .zip(acc[ii * NR..ii * NR + nr].iter())
+            {
+                *d += v;
+            }
+        }
+    }
+}
+
+/// Compute output rows `[r0, r1)` of `out[m×n] (+)= a[m×k] · b[k×n]` into
+/// `block` (the slice for exactly those rows), with optional operand
+/// transposes (`ta`: `a` stored `k×m`; `tb`: `b` stored `n×k`).
+///
+/// Accumulation-chain contract, matching the oracle: the `!tb` variants
+/// add each `p` term directly onto the existing output value; the `tb`
+/// variants form a fresh `p`-ascending sum and add it to the output once.
+/// Per output element the operation sequence is fixed by the shape alone,
+/// so any row partition is bit-identical to `[0, m)`. Inputs are assumed
+/// finite (no ±inf/NaN); score masking uses large finite values (−1e9),
+/// never infinities.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_rows(
+    a: &[f32],
+    ta: bool,
+    b: &[f32],
+    tb: bool,
+    m: usize,
+    k: usize,
+    n: usize,
+    block: &mut [f32],
+    r0: usize,
+    r1: usize,
+) {
+    debug_assert_eq!(block.len(), (r1 - r0) * n);
+    if n == 0 || r1 <= r0 {
+        return;
+    }
+    if k == 0 {
+        // Mirror the oracle's degenerate semantics (see module docs).
+        if tb {
+            for o in block.iter_mut() {
+                *o += 0.0;
+            }
+        }
+        return;
+    }
+    let from_out = !tb;
+    // p-major view of b: the `!tb` variants already store b as k×n; the
+    // `tb` variants pack n×k → k×n once per call so every tile streams
+    // contiguous rows instead of strided dot products.
+    let packed_b;
+    let bm: &[f32] = if tb {
+        let mut bp = crate::pool::take(k * n);
+        for (j, brow) in b.chunks_exact(k).enumerate() {
+            for (p, &bv) in brow.iter().enumerate() {
+                bp[p * n + j] = bv;
+            }
+        }
+        packed_b = bp;
+        &packed_b
+    } else {
+        packed_b = Vec::new();
+        b
+    };
+    let mut ap = crate::pool::take(k * MR);
+    let mut i0 = r0;
+    while i0 < r1 {
+        let mr = MR.min(r1 - i0);
+        // Pack the A panel p-major: ap[p·MR + ii] = a[i0+ii, p]. Lanes
+        // ii ≥ mr keep whatever the pool buffer held; the edge tile
+        // never reads them.
+        if ta {
+            for p in 0..k {
+                ap[p * MR..p * MR + mr].copy_from_slice(&a[p * m + i0..p * m + i0 + mr]);
+            }
+        } else {
+            for (ii, arow) in a[i0 * k..(i0 + mr) * k].chunks_exact(k).enumerate() {
+                for (p, &av) in arow.iter().enumerate() {
+                    ap[p * MR + ii] = av;
+                }
+            }
+        }
+        let ri0 = i0 - r0;
+        let mut j0 = 0;
+        while j0 < n {
+            let nr = NR.min(n - j0);
+            if mr == MR && nr == NR {
+                // Literal bounds → fully unrolled vector tile.
+                tile(k, &ap, bm, n, j0, MR, NR, block, ri0, from_out);
+            } else {
+                tile(k, &ap, bm, n, j0, mr, nr, block, ri0, from_out);
+            }
+            j0 += NR;
+        }
+        i0 += MR;
+    }
+    crate::pool::recycle(ap);
+    if tb {
+        crate::pool::recycle(packed_b);
+    }
+}

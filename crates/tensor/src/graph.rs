@@ -14,8 +14,8 @@
 //! Likewise [`Graph::backward_into`] reuses a caller-owned [`Gradients`]
 //! workspace instead of allocating one per step.
 
-use crate::backend::Activation;
 use crate::kernels;
+use crate::kernels::Activation;
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -61,11 +61,11 @@ enum Op {
     TransposeLast(Var),
     SoftmaxLast(Var),
     LogSoftmaxLast(Var),
-    /// Fused `act(a + broadcast(bias))` — one backend pass replacing an
+    /// Fused `act(a + broadcast(bias))` — one kernel pass replacing an
     /// [`Op::AddBcast`] followed by an activation node, bit-identical to
     /// that chain.
     BiasAct(Var, Var, Activation),
-    /// Fused `softmax_last(a·scale + broadcast(mask))` — one backend pass
+    /// Fused `softmax_last(a·scale + broadcast(mask))` — one tape node
     /// replacing [`Op::Scale`] → add-mask → [`Op::SoftmaxLast`],
     /// bit-identical to that chain.
     ScaledMaskedSoftmax(Var, Option<Var>, f32),
@@ -505,7 +505,7 @@ impl Graph {
     }
 
     /// Fused `act(a + broadcast(bias))` where `bias`'s shape is a suffix of
-    /// `a`'s — one tape node (and one backend pass) replacing
+    /// `a`'s — one tape node (and one kernel pass) replacing
     /// [`Graph::add_bcast`] followed by the activation node, with
     /// bit-identical forward values and gradients.
     pub fn bias_act(&mut self, a: Var, bias: Var, act: Activation) -> Var {

@@ -1,11 +1,84 @@
 //! Numeric kernels backing the autograd ops.
 //!
 //! These are plain functions over [`Tensor`] values; all differentiation logic
-//! lives in [`crate::graph`]. Kernels favour simple cache-friendly loops —
-//! shapes in this workspace are small (d ≤ 128, T ≤ 200) so a tuned BLAS is
-//! unnecessary.
+//! lives in [`crate::graph`]. There is one kernel set and it is called
+//! statically: gemm runs the cache-blocked, register-tiled
+//! [`crate::gemm::gemm_rows`], `bias_act` is one fused pass, and everything
+//! else is a simple cache-friendly loop — shapes in this workspace are small
+//! (d ≤ 128, T ≤ 200) so a tuned BLAS is unnecessary. Where the production
+//! form differs from the straight-line loop, [`crate::oracle`] keeps that
+//! loop for the parity tests, under a 0-ULP bits-contract.
 
+use crate::gemm::gemm_rows;
 use crate::tensor::Tensor;
+
+/// Element-wise activations understood by [`bias_act`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Activation {
+    /// The identity map (bias add only).
+    Identity,
+    /// `max(x, 0)`.
+    Relu,
+    /// Logistic sigmoid `1/(1+e^{-x})`.
+    Sigmoid,
+    /// Hyperbolic tangent.
+    Tanh,
+}
+
+impl Activation {
+    /// Forward map. Bit-identical to the unfused graph ops
+    /// ([`crate::graph::Graph::relu`] and friends).
+    #[inline(always)]
+    pub fn apply(self, x: f32) -> f32 {
+        match self {
+            Activation::Identity => x,
+            Activation::Relu => x.max(0.0),
+            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+            Activation::Tanh => x.tanh(),
+        }
+    }
+
+    /// Upstream gradient `g` through the activation, expressed via the
+    /// forward **output** `y`. These are the exact formulas of the unfused
+    /// backward ops; for Relu the unfused `x > 0` test is equivalent to
+    /// `y > 0` because `y = max(x, 0)`.
+    #[inline(always)]
+    pub fn grad_from_output(self, g: f32, y: f32) -> f32 {
+        match self {
+            Activation::Identity => g,
+            Activation::Relu => {
+                if y > 0.0 {
+                    g
+                } else {
+                    0.0
+                }
+            }
+            Activation::Sigmoid => g * y * (1.0 - y),
+            Activation::Tanh => g * (1.0 - y * y),
+        }
+    }
+}
+
+/// Name of the kernel set, for host fingerprints in benchmark reports.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum BackendKind {
+    /// The cache-blocked gemm plus fused element-wise kernels.
+    Blocked,
+}
+
+impl BackendKind {
+    /// The kernel set's name.
+    pub fn name(self) -> &'static str {
+        match self {
+            BackendKind::Blocked => "blocked",
+        }
+    }
+}
+
+/// The kernel set every call runs. A constant: there is nothing to select.
+pub const fn backend_kind() -> BackendKind {
+    BackendKind::Blocked
+}
 
 /// Element-wise zip of two same-shape tensors.
 pub fn zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
@@ -56,27 +129,6 @@ const SCATTER_PAR_WORK: usize = 16 * 1024;
 /// identical under any `SSDREC_THREADS`.
 fn gemm_row_grain(m: usize) -> usize {
     m.div_ceil(32).max(1)
-}
-
-/// Compute output rows `[r0, r1)` of `out[m×n] (+)= a[m×k] · b[k×n]` into
-/// `block` (the slice for exactly those rows) on the active
-/// [`crate::backend::Backend`]. For every output element the inner
-/// accumulation runs over `p` ascending in all four transpose variants, so
-/// any row partition produces bits identical to `[0, m)`.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows(
-    a: &[f32],
-    ta: bool,
-    b: &[f32],
-    tb: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-    block: &mut [f32],
-    r0: usize,
-    r1: usize,
-) {
-    crate::backend::backend().gemm_rows(a, ta, b, tb, m, k, n, block, r0, r1);
 }
 
 /// `out[m×n] (+)= a[m×k] · b[k×n]` with optional operand transposes.
@@ -413,7 +465,17 @@ pub fn softmax_last(a: &Tensor) -> Tensor {
     if n == 0 {
         return out;
     }
-    crate::backend::backend().softmax_rows(a.data(), out.data_mut(), n);
+    for (src, dst) in a.data().chunks(n).zip(out.data_mut().chunks_mut(n)) {
+        let mx = src.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0;
+        for (d, &s) in dst.iter_mut().zip(src.iter()) {
+            *d = (s - mx).exp();
+            sum += *d;
+        }
+        for d in dst.iter_mut() {
+            *d /= sum;
+        }
+    }
     out
 }
 
@@ -445,7 +507,13 @@ pub fn log_softmax_last(a: &Tensor) -> Tensor {
     if n == 0 {
         return out;
     }
-    crate::backend::backend().log_softmax_rows(a.data(), out.data_mut(), n);
+    for (src, dst) in a.data().chunks(n).zip(out.data_mut().chunks_mut(n)) {
+        let mx = src.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let lse = src.iter().map(|&s| (s - mx).exp()).sum::<f32>().ln() + mx;
+        for (d, &s) in dst.iter_mut().zip(src.iter()) {
+            *d = s - lse;
+        }
+    }
     out
 }
 
@@ -470,7 +538,8 @@ pub fn log_softmax_last_backward(y: &Tensor, gout: &Tensor) -> Tensor {
     out
 }
 
-use crate::backend::LN_EPS;
+/// Epsilon inside LayerNorm's variance square root (forward and backward).
+const LN_EPS: f32 = 1e-5;
 
 /// Layer normalisation over the last dimension with scale/shift.
 pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> Tensor {
@@ -481,13 +550,15 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> Tensor {
     if n == 0 {
         return out;
     }
-    crate::backend::backend().layer_norm_rows(
-        x.data(),
-        gamma.data(),
-        beta.data(),
-        out.data_mut(),
-        n,
-    );
+    let (gamma, beta) = (gamma.data(), beta.data());
+    for (src, dst) in x.data().chunks(n).zip(out.data_mut().chunks_mut(n)) {
+        let mean = src.iter().sum::<f32>() / n as f32;
+        let var = src.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
+        let inv = 1.0 / (var + LN_EPS).sqrt();
+        for j in 0..n {
+            dst[j] = gamma[j] * (src[j] - mean) * inv + beta[j];
+        }
+    }
     out
 }
 
@@ -531,22 +602,35 @@ pub fn layer_norm_backward(x: &Tensor, gamma: &Tensor, gout: &Tensor) -> (Tensor
 }
 
 /// Fused `act(a + broadcast(bias))` where `bias`'s shape is a suffix of
-/// `a`'s shape — one backend pass instead of an add node plus an
-/// activation node.
-pub fn bias_act(a: &Tensor, bias: &Tensor, act: crate::backend::Activation) -> Tensor {
+/// `a`'s shape — one pass instead of an add node plus an activation node.
+pub fn bias_act(a: &Tensor, bias: &Tensor, act: Activation) -> Tensor {
     let (ash, bsh) = (a.shape(), bias.shape());
     assert!(
         bsh.len() <= ash.len() && ash[ash.len() - bsh.len()..] == *bsh,
         "bias_act: {bsh:?} is not a suffix of {ash:?}"
     );
     let mut data = crate::pool::take(a.len());
-    crate::backend::backend().bias_act(a.data(), bias.data(), act, &mut data);
+    bias_act_into(a.data(), bias.data(), act, &mut data);
     Tensor::new(data, ash)
+}
+
+/// The slice form of [`bias_act`]: `dst[i] = act(a[i] + bias[i % bias.len()])`
+/// in a single pass. `act(x + b)` is the same per-element operation sequence
+/// as the two-pass [`crate::oracle::bias_act_into`].
+pub fn bias_act_into(a: &[f32], bias: &[f32], act: Activation, dst: &mut [f32]) {
+    if dst.is_empty() {
+        return;
+    }
+    for (arow, drow) in a.chunks(bias.len()).zip(dst.chunks_mut(bias.len())) {
+        for ((d, &x), &bv) in drow.iter_mut().zip(arow.iter()).zip(bias.iter()) {
+            *d = act.apply(x + bv);
+        }
+    }
 }
 
 /// Backward of the activation half of [`bias_act`], expressed via the fused
 /// output `y` — the exact formulas of the unfused activation backward ops.
-pub fn act_backward(gout: &Tensor, y: &Tensor, act: crate::backend::Activation) -> Tensor {
+pub fn act_backward(gout: &Tensor, y: &Tensor, act: Activation) -> Tensor {
     zip(gout, y, |g, yv| act.grad_from_output(g, yv))
 }
 
@@ -565,13 +649,35 @@ pub fn scaled_masked_softmax(a: &Tensor, scale: f32, mask: Option<&Tensor>) -> T
     if n == 0 {
         return out;
     }
-    crate::backend::backend().scaled_masked_softmax(
-        a.data(),
-        scale,
-        mask.map(|mv| mv.data()),
-        out.data_mut(),
-        n,
-    );
+    // Pass 1: z = a·scale (+ broadcast mask), mirroring the unfused
+    // scale → add nodes; then the row softmax of `softmax_last` over z.
+    let dst = out.data_mut();
+    match mask {
+        Some(mv) => {
+            let mv = mv.data();
+            let mn = mv.len();
+            for (i, (d, &x)) in dst.iter_mut().zip(a.data()).enumerate() {
+                *d = x * scale + mv[i % mn];
+            }
+        }
+        None => {
+            for (d, &x) in dst.iter_mut().zip(a.data()) {
+                *d = x * scale;
+            }
+        }
+    }
+    for row in dst.chunks_mut(n) {
+        let mx = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0;
+        for d in row.iter_mut() {
+            let s = *d;
+            *d = (s - mx).exp();
+            sum += *d;
+        }
+        for d in row.iter_mut() {
+            *d /= sum;
+        }
+    }
     out
 }
 
@@ -836,6 +942,19 @@ mod tests {
 
     fn t(v: &[f32], s: &[usize]) -> Tensor {
         Tensor::new(v.to_vec(), s)
+    }
+
+    #[test]
+    fn activation_matches_unfused_maps() {
+        for &x in &[-2.5f32, -0.0, 0.0, 0.3, 4.0] {
+            assert_eq!(Activation::Relu.apply(x).to_bits(), x.max(0.0).to_bits());
+            assert_eq!(
+                Activation::Sigmoid.apply(x).to_bits(),
+                (1.0 / (1.0 + (-x).exp())).to_bits()
+            );
+            assert_eq!(Activation::Tanh.apply(x).to_bits(), x.tanh().to_bits());
+            assert_eq!(Activation::Identity.apply(x).to_bits(), x.to_bits());
+        }
     }
 
     #[test]

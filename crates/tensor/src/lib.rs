@@ -26,23 +26,22 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
+pub mod gemm;
 pub mod gradtest;
 pub mod graph;
 pub mod init;
 pub mod kernels;
 pub mod nn;
 pub mod optim;
+pub mod oracle;
 pub mod persist;
 pub mod pool;
 pub mod rng;
 pub mod tensor;
 
-pub use backend::{
-    backend_kind, set_backend, with_backend, with_each_backend, Activation, Backend, BackendKind,
-};
 pub use gradtest::fd_check_all_params;
 pub use graph::{Gradients, Graph, Var};
+pub use kernels::{backend_kind, Activation, BackendKind};
 pub use optim::{Adam, Binding, ParamRef, ParamStore, Sgd};
 pub use persist::{load_params, save_params};
 pub use rng::Rng;

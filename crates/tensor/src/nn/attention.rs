@@ -1,8 +1,8 @@
 //! Multi-head self-attention and transformer blocks (SASRec, BERT4Rec,
 //! STEAM's bidirectional encoder, DCRec's transformer layer).
 
-use crate::backend::Activation;
 use crate::graph::{Graph, Var};
+use crate::kernels::Activation;
 use crate::optim::{Binding, ParamStore};
 use crate::rng::Rng;
 use crate::tensor::Tensor;

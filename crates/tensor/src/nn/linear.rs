@@ -1,7 +1,7 @@
 //! Affine layers and layer normalisation.
 
-use crate::backend::Activation;
 use crate::graph::{Graph, Var};
+use crate::kernels::Activation;
 use crate::optim::{Binding, ParamRef, ParamStore};
 use crate::rng::Rng;
 

@@ -38,29 +38,13 @@ fn input_param(store: &mut ParamStore, shape: &[usize], seed: u64) -> ParamRef {
     store.add("input", rand_tensor(shape, seed))
 }
 
-/// Run the FD check under both kernel backends, so the fused backward paths
-/// are verified against finite differences on each backend — not just
-/// against each other. Returns the worst relative error across backends.
-fn fd_check_both(
-    store: &mut ParamStore,
-    eps: f32,
-    tol: f32,
-    build: impl Fn(&mut Graph, &Binding) -> Var,
-) -> f32 {
-    let mut worst = 0.0f32;
-    ssdrec_tensor::with_each_backend(|_| {
-        worst = worst.max(fd_check_all_params(store, eps, tol, &build));
-    });
-    worst
-}
-
 #[test]
 fn linear_gradients() {
     let mut store = ParamStore::new();
     let mut rng = Rng::seed(1);
     let lin = Linear::new(&mut store, "lin", 5, 3, &mut rng);
     let x = input_param(&mut store, &[4, 5], 2);
-    let worst = fd_check_both(&mut store, EPS, TOL, |g, bind: &Binding| {
+    let worst = fd_check_all_params(&mut store, EPS, TOL, |g, bind: &Binding| {
         let xv = bind.var(x);
         let y = lin.forward(g, bind, xv);
         readout(g, y, 3)
@@ -74,7 +58,7 @@ fn embedding_gradients() {
     let mut rng = Rng::seed(4);
     let emb = Embedding::new(&mut store, "emb", 7, 4, &mut rng);
     let ids = [1usize, 3, 6, 3, 0, 2];
-    fd_check_both(&mut store, EPS, TOL, |g, bind: &Binding| {
+    fd_check_all_params(&mut store, EPS, TOL, |g, bind: &Binding| {
         let y = emb.lookup_seq(g, bind, &ids, 2, 3);
         readout(g, y, 5)
     });
@@ -86,7 +70,7 @@ fn lstm_gradients() {
     let mut rng = Rng::seed(6);
     let lstm = Lstm::new(&mut store, "lstm", 3, 4, &mut rng);
     let x = input_param(&mut store, &[2, 3, 3], 7);
-    fd_check_both(&mut store, EPS, TOL, |g, bind: &Binding| {
+    fd_check_all_params(&mut store, EPS, TOL, |g, bind: &Binding| {
         let xv = bind.var(x);
         let h = lstm.forward(g, bind, xv);
         readout(g, h, 8)
@@ -99,7 +83,7 @@ fn bilstm_gradients() {
     let mut rng = Rng::seed(9);
     let lstm = BiLstm::new(&mut store, "bi", 3, 3, &mut rng);
     let x = input_param(&mut store, &[2, 3, 3], 10);
-    fd_check_both(&mut store, EPS, TOL, |g, bind: &Binding| {
+    fd_check_all_params(&mut store, EPS, TOL, |g, bind: &Binding| {
         let xv = bind.var(x);
         let (hl, hr) = lstm.forward(g, bind, xv);
         let p = g.mul(hl, hr);
@@ -113,7 +97,7 @@ fn gru_gradients() {
     let mut rng = Rng::seed(12);
     let gru = Gru::new(&mut store, "gru", 3, 4, &mut rng);
     let x = input_param(&mut store, &[2, 3, 3], 13);
-    fd_check_both(&mut store, EPS, TOL, |g, bind: &Binding| {
+    fd_check_all_params(&mut store, EPS, TOL, |g, bind: &Binding| {
         let xv = bind.var(x);
         let (all, last) = gru.forward(g, bind, xv);
         let a = readout(g, all, 14);
@@ -128,7 +112,7 @@ fn multi_head_attention_gradients() {
     let mut rng = Rng::seed(16);
     let mha = MultiHeadAttention::new(&mut store, "mha", 4, 2, &mut rng);
     let x = input_param(&mut store, &[2, 3, 4], 17);
-    fd_check_both(&mut store, EPS, TOL, |g, bind: &Binding| {
+    fd_check_all_params(&mut store, EPS, TOL, |g, bind: &Binding| {
         let xv = bind.var(x);
         let m = g.constant(causal_mask(3));
         let y = mha.forward(g, bind, xv, Some(m));
@@ -144,7 +128,7 @@ fn feed_forward_gradients() {
     let mut rng = Rng::seed(19);
     let ff = FeedForward::new(&mut store, "ff", 4, 8, &mut rng);
     let x = input_param(&mut store, &[2, 3, 4], 20);
-    fd_check_both(&mut store, 2e-3, TOL, |g, bind: &Binding| {
+    fd_check_all_params(&mut store, 2e-3, TOL, |g, bind: &Binding| {
         let xv = bind.var(x);
         let y = ff.forward(g, bind, xv);
         readout(g, y, 21)
@@ -158,7 +142,7 @@ fn transformer_block_gradients() {
     let blk = TransformerBlock::new(&mut store, "blk", 4, 2, &mut rng);
     let x = input_param(&mut store, &[2, 3, 4], 23);
     // Smaller step for the ReLU kink inside the block's feed-forward half.
-    fd_check_both(&mut store, 2e-3, TOL, |g, bind: &Binding| {
+    fd_check_all_params(&mut store, 2e-3, TOL, |g, bind: &Binding| {
         let xv = bind.var(x);
         let m = g.constant(causal_mask(3));
         let y = blk.forward(g, bind, xv, Some(m));
@@ -171,7 +155,7 @@ fn layer_norm_gradients() {
     let mut store = ParamStore::new();
     let ln = LayerNorm::new(&mut store, "ln", 6);
     let x = input_param(&mut store, &[3, 6], 25);
-    fd_check_both(&mut store, EPS, TOL, |g, bind: &Binding| {
+    fd_check_all_params(&mut store, EPS, TOL, |g, bind: &Binding| {
         let xv = bind.var(x);
         let y = ln.forward(g, bind, xv);
         readout(g, y, 26)
@@ -186,7 +170,7 @@ fn gumbel_softmax_soft_gradients() {
     // constant, so only its soft surrogate gradient path is checked here.
     let mut store = ParamStore::new();
     let x = input_param(&mut store, &[3, 5], 27);
-    fd_check_both(&mut store, EPS, TOL, |g, bind: &Binding| {
+    fd_check_all_params(&mut store, EPS, TOL, |g, bind: &Binding| {
         let xv = bind.var(x);
         let probs = g.exp(xv);
         let mut rng = Rng::seed(123);
@@ -200,7 +184,7 @@ fn dft_filter_gradients() {
     let mut store = ParamStore::new();
     let f = DftFilter::new(&mut store, "dft", 4, 3);
     let x = input_param(&mut store, &[2, 4, 3], 29);
-    fd_check_both(&mut store, EPS, TOL, |g, bind: &Binding| {
+    fd_check_all_params(&mut store, EPS, TOL, |g, bind: &Binding| {
         let xv = bind.var(x);
         let y = f.forward(g, bind, xv);
         readout(g, y, 30)

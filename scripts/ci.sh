@@ -18,33 +18,35 @@
 #   9. Thread determinism: the golden HR@10/NDCG@10 test and a CLI train
 #      run must produce byte-identical metrics under SSDREC_THREADS=1
 #      and SSDREC_THREADS=4.
-#  10. Backend parity: the same golden test and CLI train run must produce
-#      byte-identical metrics under SSDREC_BACKEND=reference and
-#      SSDREC_BACKEND=blocked (the v1 kernel bits-contract).
-#  11. bench_runtime smoke: the thread sweep and the per-kernel backend
-#      sweep run in fast mode and BENCH_runtime.json at the repo root
-#      parses as JSON with the kernel_sweep_1t section present.
-#  12. Retrieval smoke: re-serve the checkpoint with --retrieval ann at an
+#  10. Pool identity: a CLI train run with the tensor pool on and one with
+#      SSDREC_POOL=0 must emit byte-identical metric lines.
+#  11. bench_alloc smoke: the pool-telemetry bench runs in fast mode and
+#      BENCH_alloc.json parses with its pool fields present.
+#  12. bench_runtime smoke: the thread sweep and the per-kernel
+#      oracle-vs-production sweep run in fast mode and BENCH_runtime.json
+#      at the repo root parses as JSON with the kernel_sweep_1t section
+#      present and bits_match on every kernel.
+#  13. Retrieval smoke: re-serve the checkpoint with --retrieval ann at an
 #      exhaustive --ef-search; the response body must be byte-identical to
 #      the exact-path baseline and /metrics must report the ann section.
-#  13. bench_serve --retrieval smoke: the recall harness runs in fast mode
+#  14. bench_serve --retrieval smoke: the recall harness runs in fast mode
 #      and BENCH_retrieval.json parses with recall@10 >= 0.95 per catalog.
-#  14. Hot-swap smoke: ingest the smoke profile into an append-only log,
+#  15. Hot-swap smoke: ingest the smoke profile into an append-only log,
 #      retrain into a versioned checkpoint dir, serve CURRENT, capture a
 #      baseline body, ingest a delta under an armed stream.append latency
 #      fault, retrain again, POST /reload — the body must change and
 #      /metrics must report swap_total:1 at the new model_version.
-#  15. bench_stream smoke: the online-loop harness (ingest throughput,
+#  16. bench_stream smoke: the online-loop harness (ingest throughput,
 #      delta-retrain wall-clock, swap pause p99) runs in fast mode and
 #      BENCH_stream.json parses with its telemetry fields present.
-#  16. Out-of-core smoke: gen-data writes a columnar .ssdc file, `train
+#  17. Out-of-core smoke: gen-data writes a columnar .ssdc file, `train
 #      --data` runs off it in windowed and ram modes with byte-identical
 #      metric lines, ingest bulk-loads it into a log, and bench_data runs
 #      in fast mode with a valid BENCH_data.json.
-#  17. Training-scenario smoke: `train --contrastive` and `train --mgsd`
+#  18. Training-scenario smoke: `train --contrastive` and `train --mgsd`
 #      each run two epochs and must emit byte-identical metric lines at
 #      SSDREC_THREADS=1 and --threads 4.
-#  18. table4 --fast smoke: the denoiser table runs every method in fast
+#  19. table4 --fast smoke: the denoiser table runs every method in fast
 #      mode and results/table4_fast.json parses with one row per method,
 #      including the CL4SRec and MGSD-WSS rows.
 #
@@ -265,24 +267,6 @@ if ! diff -u "$DET_DIR/metrics_t1.txt" "$DET_DIR/metrics_t4.txt"; then
 fi
 echo "ok: golden + CLI metrics identical at 1 and 4 threads"
 
-echo "== backend parity (golden metrics: reference vs blocked kernels) =="
-# The v1 kernel bits-contract: the cache-blocked backend must reproduce the
-# reference oracle's bits exactly, so the pinned golden metrics pass under
-# either backend and a CLI train run emits byte-identical metric lines.
-SSDREC_BACKEND=reference cargo test --release -q --test golden_determinism
-SSDREC_BACKEND=blocked cargo test --release -q --test golden_determinism
-BE_DIR=target/ssdrec-smoke
-mkdir -p "$BE_DIR"
-./target/release/ssdrec train $SMOKE_FLAGS --epochs 1 --backend reference \
-    | grep -E '^(valid|test)' >"$BE_DIR/metrics_reference.txt"
-./target/release/ssdrec train $SMOKE_FLAGS --epochs 1 --backend blocked \
-    | grep -E '^(valid|test)' >"$BE_DIR/metrics_blocked.txt"
-if ! diff -u "$BE_DIR/metrics_reference.txt" "$BE_DIR/metrics_blocked.txt"; then
-    echo "backend parity FAILED: metrics differ between reference and blocked kernels"
-    exit 1
-fi
-echo "ok: golden + CLI metrics identical under reference and blocked backends"
-
 echo "== pool identity (pooled vs fresh CLI metrics) =="
 # The step-scoped buffer pool must never change a bit of output: a train
 # run with the pool on and one with SSDREC_POOL=0 (plain allocations) must
@@ -315,7 +299,7 @@ echo "ok: BENCH_alloc.json written and valid"
 echo "== bench_runtime thread + kernel sweep smoke =="
 SSDREC_BENCH_FAST=1 cargo run --release -q -p ssdrec-bench --bin bench_runtime >/dev/null
 test -f BENCH_runtime.json
-# Must parse as JSON with the per-kernel backend sweep present: python3 if
+# Must parse as JSON with the per-kernel oracle sweep present: python3 if
 # available, else the workspace parser already validated it inside
 # bench_runtime before writing (and asserted bits_match on every kernel).
 if command -v python3 >/dev/null 2>&1; then
@@ -324,7 +308,7 @@ import json
 r = json.load(open("BENCH_runtime.json"))
 ks = r["kernel_sweep_1t"]
 assert ks, "kernel_sweep_1t is empty"
-assert all(p["bits_match"] for p in ks), "a kernel diverged between backends"
+assert all(p["bits_match"] for p in ks), "a kernel diverged from the oracle"
 assert any(p["kernel"].startswith("gemm_") for p in ks), "gemm variants missing"
 '
 fi

@@ -53,6 +53,10 @@ fn fixed_seed_two_epochs_reproduces_golden_metrics() {
         ..TrainConfig::default()
     };
     let report = train(&mut model, &split, &tc);
+    assert_eq!(
+        report.nonfinite_batches, 0,
+        "a golden batch had a non-finite loss"
+    );
 
     println!("hr10 = {:?}", report.test.hr10);
     println!("ndcg10 = {:?}", report.test.ndcg10);
@@ -81,6 +85,10 @@ fn run_pinned<M: RecModel>(mut model: M, tag: &str) -> (f64, f64, Vec<u8>) {
         ..TrainConfig::default()
     };
     let report = train(&mut model, &split, &tc);
+    assert_eq!(
+        report.nonfinite_batches, 0,
+        "{tag}: a batch had a non-finite loss"
+    );
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden");
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let path = dir.join(format!("golden_{tag}.ssdt"));
@@ -188,6 +196,10 @@ fn mgsd_columnar_store_training_matches_in_ram_golden() {
     };
     let report = train_from_source(&mut model, &sources, &tc, None, None).expect("train");
     assert_eq!(
+        report.nonfinite_batches, 0,
+        "a golden batch had a non-finite loss"
+    );
+    assert_eq!(
         report.test.hr10, GOLDEN_MGSD_HR10,
         "columnar-store MGSD training drifted from the golden HR@10"
     );
@@ -247,6 +259,10 @@ fn columnar_store_training_reproduces_golden_metrics() {
         },
     };
     let report = train_from_source(&mut model, &sources, &tc, None, None).expect("train");
+    assert_eq!(
+        report.nonfinite_batches, 0,
+        "a golden batch had a non-finite loss"
+    );
 
     assert_eq!(
         report.test.hr10, GOLDEN_HR10,

@@ -5,17 +5,8 @@
 //! in `ssdrec_runtime` — parallelism may only trade wall-clock time, never
 //! a single bit of output.
 //!
-//! The matrix also has a **backend** dimension: every thread-count sweep
-//! runs once per kernel backend (`reference`, `blocked`), and each backend
-//! must be bit-identical across thread counts on its own. On top of that,
-//! the v1 kernel-bits contract (`KERNEL_BITS_MAX_ULPS == 0`) says the
-//! blocked backend reproduces the reference oracle exactly, so the matrix
-//! is also asserted to collapse *across* backends — including checkpoint
-//! bytes, which are pinned per backend and equal between them.
-//!
-//! Each test reconfigures the shared global pool and the process-global
-//! backend, so the suite serialises itself behind one mutex and restores a
-//! 1-thread pool on the way out.
+//! Each test reconfigures the shared global pool, so the suite serialises
+//! itself behind one mutex and restores a 1-thread pool on the way out.
 
 use std::sync::Mutex;
 
@@ -29,46 +20,25 @@ use ssdrec::models::{
 };
 use ssdrec::serve::{Engine, EngineConfig, ServerStats};
 use ssdrec::tensor::kernels::{matmul, matmul_backward, scatter_rows};
-use ssdrec::tensor::{pool, save_params, with_each_backend, Tensor};
+use ssdrec::tensor::{pool, save_params, Tensor};
 
 /// Serialises pool reconfiguration across `#[test]` threads.
 static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
-/// Run `f` once per (backend, thread count) cell. Within each backend the
-/// outputs must be bit-identical across thread counts; across backends the
-/// per-backend references must match too (the v1 kernel-bits contract —
-/// `blocked` reproduces `reference` exactly).
+/// Run `f` once per thread count; the outputs must be bit-identical.
 fn assert_bits_stable<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let mut cross: Option<T> = None;
-    with_each_backend(|kind| {
-        let mut reference: Option<T> = None;
-        for &t in &THREAD_COUNTS {
-            ssdrec::runtime::set_threads(t);
-            let got = f();
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => assert_eq!(
-                    &got,
-                    want,
-                    "output diverged at {t} threads ({} backend)",
-                    kind.name()
-                ),
-            }
+    let mut reference: Option<T> = None;
+    for &t in &THREAD_COUNTS {
+        ssdrec::runtime::set_threads(t);
+        let got = f();
+        match &reference {
+            None => reference = Some(got),
+            Some(want) => assert_eq!(&got, want, "output diverged at {t} threads"),
         }
-        let got = reference.take().unwrap();
-        match &cross {
-            None => cross = Some(got),
-            Some(want) => assert_eq!(
-                &got,
-                want,
-                "output diverged between backends (at {} backend)",
-                kind.name()
-            ),
-        }
-    });
+    }
     ssdrec::runtime::set_threads(1);
 }
 
@@ -247,58 +217,40 @@ fn train_fingerprint(tag: &str) -> (Vec<u32>, u64, u64, Vec<u8>) {
     )
 }
 
-/// The tentpole contract of the step-scoped arena, extended with the
-/// backend dimension: pooled buffers carry stale contents, so a pooled
-/// training run must still produce the exact bits — losses, metrics and
-/// checkpoint bytes — of a fresh-allocation run, at 1 thread and at 4,
-/// under each kernel backend. The checkpoint bytes are additionally pinned
-/// *across* backends (the v1 kernel-bits contract).
+/// The tentpole contract of the step-scoped arena: pooled buffers carry
+/// stale contents, so a pooled training run must still produce the exact
+/// bits — losses, metrics and checkpoint bytes — of a fresh-allocation
+/// run, at 1 thread and at 4. The checkpoint bytes are additionally pinned
+/// across the two thread counts.
 #[test]
 fn pooled_and_fresh_training_are_bit_identical() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let was = pool::is_enabled();
     let mut cross: Option<(Vec<u32>, u64, u64, Vec<u8>)> = None;
-    with_each_backend(|kind| {
-        let be = kind.name();
-        for &t in &[1usize, 4] {
-            ssdrec::runtime::set_threads(t);
-            pool::set_enabled(true);
-            let pooled = train_fingerprint(&format!("pooled_{be}_t{t}"));
-            pool::set_enabled(false);
-            let fresh = train_fingerprint(&format!("fresh_{be}_t{t}"));
-            assert_eq!(
-                pooled.0, fresh.0,
-                "epoch loss bits diverged between pooled and fresh at {t} threads ({be})"
-            );
-            assert_eq!(
-                (pooled.1, pooled.2),
-                (fresh.1, fresh.2),
-                "HR@10/NDCG@10 bits diverged between pooled and fresh at {t} threads ({be})"
-            );
-            assert_eq!(
-                pooled.3, fresh.3,
-                "checkpoint bytes diverged between pooled and fresh at {t} threads ({be})"
-            );
-            match &cross {
-                None => cross = Some(pooled),
-                Some(want) => {
-                    assert_eq!(
-                        &pooled.0, &want.0,
-                        "loss bits diverged across the backend matrix ({be}, {t} threads)"
-                    );
-                    assert_eq!(
-                        (pooled.1, pooled.2),
-                        (want.1, want.2),
-                        "HR@10/NDCG@10 bits diverged across the backend matrix ({be}, {t} threads)"
-                    );
-                    assert_eq!(
-                        pooled.3, want.3,
-                        "checkpoint bytes diverged across the backend matrix ({be}, {t} threads)"
-                    );
-                }
-            }
+    for &t in &[1usize, 4] {
+        ssdrec::runtime::set_threads(t);
+        pool::set_enabled(true);
+        let pooled = train_fingerprint(&format!("pooled_t{t}"));
+        pool::set_enabled(false);
+        let fresh = train_fingerprint(&format!("fresh_t{t}"));
+        assert_eq!(
+            pooled.0, fresh.0,
+            "epoch loss bits diverged between pooled and fresh at {t} threads"
+        );
+        assert_eq!(
+            (pooled.1, pooled.2),
+            (fresh.1, fresh.2),
+            "HR@10/NDCG@10 bits diverged between pooled and fresh at {t} threads"
+        );
+        assert_eq!(
+            pooled.3, fresh.3,
+            "checkpoint bytes diverged between pooled and fresh at {t} threads"
+        );
+        match &cross {
+            None => cross = Some(pooled),
+            Some(want) => assert_eq!(&pooled, want, "output diverged at {t} threads"),
         }
-    });
+    }
     pool::set_enabled(was);
     ssdrec::runtime::set_threads(1);
 }
@@ -337,8 +289,8 @@ fn model_fingerprint<M: RecModel>(mut model: M, tag: &str) -> (u32, u64, u64, Ve
 /// The two newest loss paths — the contrastive joint CE + InfoNCE loss
 /// (whose per-example view RNG must be immune to batch sharding) and the
 /// multi-granularity weakly supervised loss — run through the full matrix:
-/// backend × {1, 2, 7} threads × pooled-vs-fresh allocation, with the
-/// checkpoint bytes additionally pinned across backends.
+/// {1, 2, 7} threads × pooled-vs-fresh allocation, checkpoint bytes
+/// included.
 #[test]
 fn new_loss_paths_are_bit_identical_across_matrix() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -364,37 +316,24 @@ fn new_loss_paths_are_bit_identical_across_matrix() {
                 model_fingerprint(Mgsd::new(num_users, num_items, 8, 50, 7), tag)
             }
         };
-        let mut cross: Option<(u32, u64, u64, Vec<u8>)> = None;
-        with_each_backend(|kind| {
-            let be = kind.name();
-            let mut reference: Option<(u32, u64, u64, Vec<u8>)> = None;
-            for &t in &THREAD_COUNTS {
-                ssdrec::runtime::set_threads(t);
-                pool::set_enabled(true);
-                let pooled = run(&format!("{scenario}_pooled_{be}_t{t}"));
-                pool::set_enabled(false);
-                let fresh = run(&format!("{scenario}_fresh_{be}_t{t}"));
-                assert_eq!(
-                    pooled, fresh,
-                    "{scenario}: pooled and fresh runs diverged at {t} threads ({be})"
-                );
-                match &reference {
-                    None => reference = Some(pooled),
-                    Some(want) => assert_eq!(
-                        &pooled, want,
-                        "{scenario}: output diverged at {t} threads ({be})"
-                    ),
+        let mut reference: Option<(u32, u64, u64, Vec<u8>)> = None;
+        for &t in &THREAD_COUNTS {
+            ssdrec::runtime::set_threads(t);
+            pool::set_enabled(true);
+            let pooled = run(&format!("{scenario}_pooled_t{t}"));
+            pool::set_enabled(false);
+            let fresh = run(&format!("{scenario}_fresh_t{t}"));
+            assert_eq!(
+                pooled, fresh,
+                "{scenario}: pooled and fresh runs diverged at {t} threads"
+            );
+            match &reference {
+                None => reference = Some(pooled),
+                Some(want) => {
+                    assert_eq!(&pooled, want, "{scenario}: output diverged at {t} threads")
                 }
             }
-            let got = reference.take().unwrap();
-            match &cross {
-                None => cross = Some(got),
-                Some(want) => assert_eq!(
-                    &got, want,
-                    "{scenario}: output diverged between backends (at {be})"
-                ),
-            }
-        });
+        }
     }
     pool::set_enabled(was);
     ssdrec::runtime::set_threads(1);
