@@ -1,9 +1,9 @@
 //! Ablation bench (DESIGN.md §5.1): straight-through hard Gumbel vs the soft
 //! relaxation inside the position selector — cost of the hard path and of
 //! the full augmentation step, at several sequence lengths. Runs on the
-//! in-workspace `ssdrec_testkit::bench::Harness`.
+//! in-workspace `ssdrec_bench::micro::Harness`.
 
-use ssdrec_testkit::bench::Harness;
+use ssdrec_bench::micro::Harness;
 
 use ssdrec_core::SelfAugmenter;
 use ssdrec_tensor::nn::{gumbel_softmax, GumbelMode};

@@ -1,8 +1,8 @@
 //! Bench behind Table VI: one optimisation step (forward + backward + Adam)
 //! per model on a fixed mini-batch — the unit that per-epoch time is made of.
-//! Runs on the in-workspace `ssdrec_testkit::bench::Harness`.
+//! Runs on the in-workspace `ssdrec_bench::micro::Harness`.
 
-use ssdrec_testkit::bench::Harness;
+use ssdrec_bench::micro::Harness;
 
 use ssdrec_core::{SsdRec, SsdRecConfig};
 use ssdrec_data::{make_batches, prepare, SyntheticConfig};

@@ -1,9 +1,9 @@
 //! Micro-benchmarks for the substrate kernels that dominate training time:
 //! matmul, softmax, the relation-graph construction and the Bi-LSTM unroll.
-//! Runs on the in-workspace `ssdrec_testkit::bench::Harness` (set
-//! `SSDREC_BENCH_FAST=1` to smoke-test without measurement time).
+//! Runs on the in-workspace `ssdrec_bench::micro::Harness` (pass `--fast`
+//! or set `SSDREC_BENCH_FAST=1` to smoke-test without measurement time).
 
-use ssdrec_testkit::bench::Harness;
+use ssdrec_bench::micro::Harness;
 
 use ssdrec_data::SyntheticConfig;
 use ssdrec_graph::{build_graph, GraphConfig};

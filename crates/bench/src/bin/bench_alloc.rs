@@ -4,8 +4,8 @@
 //! Adam) over the full SSDRec model on the default golden synthetic config
 //! and records per-step pool counters: hits, misses, bytes served from
 //! recycled storage, and steps/sec. The report is written to
-//! `target/ssdrec-bench/bench_alloc.json` and to `BENCH_alloc.json` at the
-//! repository root.
+//! `target/ssdrec-bench/alloc.json` and to `BENCH_alloc.json` at the
+//! workspace root.
 //!
 //! This binary **asserts the steady-state contract**: from the second
 //! training step onward at least 90% of buffer takes must be pool hits,
@@ -16,13 +16,14 @@
 //! `--fast` (or `SSDREC_BENCH_FAST=1`) shrinks the dataset to a CI smoke
 //! that still runs enough steps to check the steady-state hit rate.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
+use ssdrec_bench::{write_report, Mode};
 use ssdrec_core::{SsdRec, SsdRecConfig};
 use ssdrec_data::{make_batches, prepare, SyntheticConfig};
 use ssdrec_graph::{build_graph, GraphConfig};
 use ssdrec_models::RecModel;
+use ssdrec_serve::json::Obj;
 use ssdrec_tensor::{pool, Adam, Gradients, Graph, Rng};
 
 struct Config {
@@ -34,8 +35,7 @@ struct Config {
 }
 
 fn config() -> Config {
-    let fast = std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1")
-        || std::env::args().skip(1).any(|a| a == "--fast");
+    let fast = Mode::current().is_fast();
     if fast {
         Config {
             fast,
@@ -56,17 +56,6 @@ fn config() -> Config {
             epochs: 4,
         }
     }
-}
-
-/// The outermost ancestor holding a `Cargo.lock` — the workspace root
-/// (cargo runs bin targets with cwd = the package dir).
-fn repo_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    cwd.ancestors()
-        .filter(|a| a.join("Cargo.lock").is_file())
-        .last()
-        .map(PathBuf::from)
-        .unwrap_or(cwd)
 }
 
 fn main() {
@@ -163,28 +152,24 @@ fn main() {
         "steady-state pool hit rate {hit_rate_from_step2:.4} below the 90% contract"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"alloc\",\n  \"fast\": {},\n  \"threads\": {},\n  \
-         \"steps\": {},\n  \"steps_per_sec\": {:.3},\n  \"wall_clock_ms\": {:.3},\n  \
-         \"pool_hits\": {},\n  \"pool_misses\": {},\n  \"bytes_recycled\": {},\n  \
-         \"first_step\": {{\"pool_hits\": {}, \"pool_misses\": {}}},\n  \
-         \"hit_rate_from_step2\": {:.6}\n}}\n",
-        cfg.fast,
-        threads,
-        steps,
-        steps_per_sec,
-        wall_clock_ms,
-        total.hits,
-        total.misses,
-        total.bytes_recycled,
-        first_step.hits,
-        first_step.misses,
-        hit_rate_from_step2,
-    );
-
-    // Self-check: the report must parse with the workspace JSON parser and
-    // carry the telemetry fields CI validates.
-    let parsed = ssdrec_serve::json::parse(&json).expect("BENCH_alloc.json must be valid JSON");
+    let doc = Obj::new()
+        .field("bench", "alloc")
+        .field("fast", cfg.fast)
+        .field("threads", threads)
+        .field("steps", steps)
+        .field("steps_per_sec", steps_per_sec)
+        .field("wall_clock_ms", wall_clock_ms)
+        .field("pool_hits", total.hits)
+        .field("pool_misses", total.misses)
+        .field("bytes_recycled", total.bytes_recycled)
+        .field(
+            "first_step",
+            Obj::new()
+                .field("pool_hits", first_step.hits)
+                .field("pool_misses", first_step.misses),
+        )
+        .field("hit_rate_from_step2", hit_rate_from_step2);
+    let parsed = write_report("alloc", doc);
     for field in ["pool_hits", "pool_misses", "bytes_recycled", "steps"] {
         assert!(
             parsed.get(field).and_then(|v| v.as_usize()).is_some(),
@@ -192,15 +177,9 @@ fn main() {
         );
     }
 
-    let target = repo_root().join("target").join("ssdrec-bench");
-    let _ = std::fs::create_dir_all(&target);
-    let _ = std::fs::write(target.join("bench_alloc.json"), &json);
-    let path = repo_root().join("BENCH_alloc.json");
-    std::fs::write(&path, &json).expect("write BENCH_alloc.json");
     println!(
-        "bench_alloc: hit rate {:.2}% from step 2 over {} steps; wrote {}",
+        "bench_alloc: hit rate {:.2}% from step 2 over {} steps",
         hit_rate_from_step2 * 100.0,
-        steps,
-        path.display()
+        steps
     );
 }

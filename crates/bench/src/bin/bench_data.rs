@@ -17,19 +17,19 @@
 //! [`FULL_RSS_BUDGET`], pinning the bounded-RAM claim of the out-of-core
 //! pipeline (see DESIGN.md §14).
 //!
-//! The report is written to `target/ssdrec-bench/bench_data.json` and to
-//! `BENCH_data.json` at the repository root.
+//! The report is written to `target/ssdrec-bench/data.json` and to
+//! `BENCH_data.json` at the workspace root.
 //!
 //! `cargo run --release -p ssdrec-bench --bin bench_data [-- --fast | -- --full]`
 //!
 //! `--fast` (or `SSDREC_BENCH_FAST=1`) shrinks the corpus to a CI smoke.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
+use ssdrec_bench::{bench_dir, peak_rss_bytes, write_report, Mode};
 use ssdrec_data::{ColumnarReader, SequenceStore, SyntheticConfig, TruncatedStore};
 use ssdrec_graph::{build_graph_from_store, GraphConfig};
-use ssdrec_testkit::bench::Harness;
+use ssdrec_serve::json::Obj;
 
 /// Peak-RSS ceiling for the `--full` 1M-user × 100K-item run, in bytes.
 ///
@@ -40,33 +40,27 @@ use ssdrec_testkit::bench::Harness;
 const FULL_RSS_BUDGET: u64 = 8 * 1024 * 1024 * 1024;
 
 struct Config {
-    fast: bool,
-    full: bool,
+    mode: Mode,
     num_users: usize,
     num_items: usize,
     graph: GraphConfig,
 }
 
 fn config() -> Config {
-    let fast = std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1")
-        || std::env::args().skip(1).any(|a| a == "--fast");
-    let full = !fast && std::env::args().skip(1).any(|a| a == "--full");
-    if fast {
-        Config {
-            fast,
-            full,
+    let mode = Mode::current();
+    match mode {
+        Mode::Fast => Config {
+            mode,
             num_users: 2_000,
             num_items: 1_000,
             graph: GraphConfig::default(),
-        }
-    } else if full {
+        },
         // At 100K items the uncapped similar/incompatible relations would
         // enumerate hundreds of millions of item pairs; the caps bound the
         // pair fan-out per item/context without touching the small-scale
         // (default-config) behavior the regression hashes pin.
-        Config {
-            fast,
-            full,
+        Mode::Full => Config {
+            mode,
             num_users: 1_000_000,
             num_items: 100_000,
             graph: GraphConfig {
@@ -74,48 +68,26 @@ fn config() -> Config {
                 max_context_items: 64,
                 ..GraphConfig::default()
             },
-        }
-    } else {
-        Config {
-            fast,
-            full,
+        },
+        Mode::Default => Config {
+            mode,
             num_users: 50_000,
             num_items: 10_000,
             graph: GraphConfig::default(),
-        }
+        },
     }
-}
-
-/// The outermost ancestor holding a `Cargo.lock` — the workspace root
-/// (cargo runs bin targets with cwd = the package dir).
-fn repo_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    cwd.ancestors()
-        .filter(|a| a.join("Cargo.lock").is_file())
-        .last()
-        .map(PathBuf::from)
-        .unwrap_or(cwd)
 }
 
 fn main() {
     let cfg = config();
     let threads = ssdrec_runtime::threads();
-    let mode = if cfg.fast {
-        "fast"
-    } else if cfg.full {
-        "full"
-    } else {
-        "default"
-    };
+    let mode = cfg.mode.name();
     eprintln!(
         "bench_data: encode → scan → graph ({mode} mode, {} users × {} items)",
         cfg.num_users, cfg.num_items
     );
 
-    let work = repo_root()
-        .join("target")
-        .join("ssdrec-bench")
-        .join("data-work");
+    let work = bench_dir().join("data-work");
     let _ = std::fs::remove_dir_all(&work);
     std::fs::create_dir_all(&work).expect("scratch dir");
     let path = work.join("corpus.ssdc");
@@ -171,13 +143,13 @@ fn main() {
     eprintln!("  graph : {graph_edges} edges in {graph_ms:.1} ms ({graph_ips:.0} inter/s)");
     drop(graph);
 
-    let peak_rss = Harness::peak_rss_bytes();
+    let peak_rss = peak_rss_bytes();
     eprintln!(
         "  peak RSS: {:.1} MiB (budget for --full: {:.0} MiB)",
         peak_rss as f64 / (1024.0 * 1024.0),
         FULL_RSS_BUDGET as f64 / (1024.0 * 1024.0)
     );
-    if cfg.full {
+    if cfg.mode == Mode::Full {
         assert!(
             peak_rss > 0,
             "--full requires a readable VmHWM to enforce the RSS budget"
@@ -188,20 +160,24 @@ fn main() {
         );
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"data\",\n  \"mode\": \"{mode}\",\n  \"threads\": {threads},\n  \
-         \"num_users\": {},\n  \"num_items\": {},\n  \"interactions\": {interactions},\n  \
-         \"file_bytes\": {},\n  \"encode_ms\": {encode_ms:.3},\n  \
-         \"encode_interactions_per_sec\": {encode_ips:.1},\n  \"scan_ms\": {scan_ms:.3},\n  \
-         \"scan_interactions_per_sec\": {scan_ips:.1},\n  \"graph_ms\": {graph_ms:.3},\n  \
-         \"graph_interactions_per_sec\": {graph_ips:.1},\n  \"graph_edges\": {graph_edges},\n  \
-         \"peak_rss_bytes\": {peak_rss},\n  \"rss_budget_bytes\": {FULL_RSS_BUDGET}\n}}\n",
-        cfg.num_users, cfg.num_items, summary.bytes,
-    );
-
-    // Self-check: the report must parse with the workspace JSON parser and
-    // carry the fields CI validates.
-    let parsed = ssdrec_serve::json::parse(&json).expect("BENCH_data.json must be valid JSON");
+    let doc = Obj::new()
+        .field("bench", "data")
+        .field("mode", mode)
+        .field("threads", threads)
+        .field("num_users", cfg.num_users)
+        .field("num_items", cfg.num_items)
+        .field("interactions", interactions)
+        .field("file_bytes", summary.bytes)
+        .field("encode_ms", encode_ms)
+        .field("encode_interactions_per_sec", encode_ips)
+        .field("scan_ms", scan_ms)
+        .field("scan_interactions_per_sec", scan_ips)
+        .field("graph_ms", graph_ms)
+        .field("graph_interactions_per_sec", graph_ips)
+        .field("graph_edges", graph_edges)
+        .field("peak_rss_bytes", peak_rss)
+        .field("rss_budget_bytes", FULL_RSS_BUDGET);
+    let parsed = write_report("data", doc);
     // Byte/RSS counts exceed the request-parser's u32 `as_usize` cap at full
     // scale; validate them as finite numbers instead.
     for field in [
@@ -220,15 +196,9 @@ fn main() {
         );
     }
 
-    let target = repo_root().join("target").join("ssdrec-bench");
-    let _ = std::fs::create_dir_all(&target);
-    let _ = std::fs::write(target.join("bench_data.json"), &json);
-    let path = repo_root().join("BENCH_data.json");
-    std::fs::write(&path, &json).expect("write BENCH_data.json");
     println!(
         "bench_data: {encode_ips:.0} inter/s encode, {scan_ips:.0} inter/s scan, \
-         {graph_ms:.0} ms graph, peak RSS {:.1} MiB; wrote {}",
-        peak_rss as f64 / (1024.0 * 1024.0),
-        path.display()
+         {graph_ms:.0} ms graph, peak RSS {:.1} MiB",
+        peak_rss as f64 / (1024.0 * 1024.0)
     );
 }

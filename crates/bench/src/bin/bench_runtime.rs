@@ -1,6 +1,7 @@
 //! Thread-scaling and kernel benchmark for the runtime hot paths.
 //!
-//! Two sweeps, one report (`BENCH_runtime.json` at the repository root):
+//! Two sweeps, one report (`BENCH_runtime.json` at the workspace root and
+//! `target/ssdrec-bench/runtime.json`):
 //!
 //! 1. **Thread sweep** — `SSDREC_THREADS` ∈ {1, 2, 4, 8} over the three hot
 //!    paths the runtime accelerates: a full-catalogue-sized gemm, one
@@ -25,16 +26,17 @@
 //! (speedups are recorded but not asserted in fast mode — smoke shapes are
 //! too small to be meaningful).
 
-use std::path::PathBuf;
 use std::time::Instant;
 
+use ssdrec_bench::micro::Harness;
+use ssdrec_bench::{write_report, Mode};
 use ssdrec_data::{make_batches, prepare, Split, SyntheticConfig};
 use ssdrec_models::{evaluate, BackboneKind, RecModel, SeqRec};
+use ssdrec_serve::json::Obj;
 use ssdrec_tensor::gemm::gemm_rows;
 use ssdrec_tensor::kernels::{bias_act_into, matmul};
 use ssdrec_tensor::oracle::{self, KERNEL_BITS_MAX_ULPS, KERNEL_BITS_VERSION};
 use ssdrec_tensor::{Activation, Adam, Graph, Rng, Tensor};
-use ssdrec_testkit::bench::{BenchConfig, Harness};
 
 const SWEEP: [usize; 4] = [1, 2, 4, 8];
 
@@ -53,8 +55,7 @@ struct Config {
 }
 
 fn config() -> Config {
-    let fast = std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1")
-        || std::env::args().skip(1).any(|a| a == "--fast");
+    let fast = Mode::current().is_fast();
     if fast {
         Config {
             fast,
@@ -134,17 +135,6 @@ fn time_best_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
         last = Some(r);
     }
     (best, last.expect("reps >= 1"))
-}
-
-/// The outermost ancestor holding a `Cargo.lock` — the workspace root
-/// (cargo runs bin targets with cwd = the package dir).
-fn repo_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    cwd.ancestors()
-        .filter(|a| a.join("Cargo.lock").is_file())
-        .last()
-        .map(PathBuf::from)
-        .unwrap_or(cwd)
 }
 
 struct SweepPoint {
@@ -304,15 +294,12 @@ fn main() {
     for &threads in &SWEEP {
         ssdrec_runtime::set_threads(threads);
 
-        // gemm goes through the testkit harness so the per-thread JSON under
-        // target/ssdrec-bench/ carries the new `threads` field.
-        let mut h = Harness::with_config(&format!("runtime_t{threads}"), BenchConfig::default());
-        h.set_threads(threads);
+        // gemm goes through the micro-bench harness so the per-thread JSON
+        // under target/ssdrec-bench/ records the thread count it ran at.
+        let mut h = Harness::new(&format!("runtime_t{threads}"));
         let gemm_stats = h.bench("gemm_scoring_shape", || matmul(&a, &b));
         let gemm_ms = gemm_stats.median_ns / 1e6;
         let gemm_checksum = bit_checksum(matmul(&a, &b).data());
-        let pool = ssdrec_tensor::pool::global_stats();
-        h.set_pool_stats(pool.hits, pool.misses, pool.bytes_recycled);
         h.finish();
 
         let (epoch_ms, loss) = time_best_ms(cfg.reps, || {
@@ -373,57 +360,53 @@ fn main() {
     let speedup_gemm_4 = at(1, |p| p.gemm_ms) / at(4, |p| p.gemm_ms).max(1e-9);
     let speedup_eval_4 = at(1, |p| p.eval_ms) / at(4, |p| p.eval_ms).max(1e-9);
 
-    let rows: Vec<String> = points
+    let sweep: Vec<Obj> = points
         .iter()
         .map(|p| {
-            format!(
-                "    {{\"threads\": {}, \"gemm_ms\": {:.4}, \"epoch_ms\": {:.3}, \
-                 \"eval_ms\": {:.3}, \"gemm_bits_checksum\": {}, \"loss_bits\": {}, \
-                 \"hr10_bits\": {}, \"ndcg10_bits\": {}}}",
-                p.threads,
-                p.gemm_ms,
-                p.epoch_ms,
-                p.eval_ms,
-                p.gemm_checksum,
-                p.loss_bits,
-                p.hr10_bits,
-                p.ndcg10_bits
-            )
+            Obj::new()
+                .field("threads", p.threads)
+                .field("gemm_ms", p.gemm_ms)
+                .field("epoch_ms", p.epoch_ms)
+                .field("eval_ms", p.eval_ms)
+                .field("gemm_bits_checksum", p.gemm_checksum)
+                .field("loss_bits", p.loss_bits)
+                .field("hr10_bits", p.hr10_bits)
+                .field("ndcg10_bits", p.ndcg10_bits)
         })
         .collect();
-    let kernel_rows: Vec<String> = kernels
+    let kernel_sweep: Vec<Obj> = kernels
         .iter()
         .map(|p| {
-            format!(
-                "    {{\"kernel\": \"{}\", \"oracle_ms\": {:.4}, \"production_ms\": {:.4}, \
-                 \"speedup\": {:.3}, \"bits_match\": {}}}",
-                p.kernel, p.oracle_ms, p.production_ms, p.speedup, p.bits_match
-            )
+            Obj::new()
+                .field("kernel", p.kernel)
+                .field("oracle_ms", p.oracle_ms)
+                .field("production_ms", p.production_ms)
+                .field("speedup", p.speedup)
+                .field("bits_match", p.bits_match)
         })
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"runtime\",\n  \"fast\": {},\n  \"host_cpus\": {},\n  \
-         \"backend_default\": \"{}\",\n  \
-         \"kernel_contract\": {{\"version\": {}, \"max_ulps\": {}}},\n  \
-         \"bit_identical_across_sweep\": true,\n  \
-         \"speedup_at_4_threads\": {{\"gemm\": {:.3}, \"eval\": {:.3}}},\n  \
-         \"gemm_speedup_best_1t\": {:.3},\n  \
-         \"kernel_sweep_1t\": [\n{}\n  ],\n  \
-         \"sweep\": [\n{}\n  ]\n}}\n",
-        cfg.fast,
-        host_cpus,
-        ssdrec_tensor::backend_kind().name(),
-        KERNEL_BITS_VERSION,
-        KERNEL_BITS_MAX_ULPS,
-        speedup_gemm_4,
-        speedup_eval_4,
-        gemm_speedup_best,
-        kernel_rows.join(",\n"),
-        rows.join(",\n")
-    );
-
-    // Self-check: the report must parse with the workspace JSON parser.
-    let parsed = ssdrec_serve::json::parse(&json).expect("BENCH_runtime.json must be valid JSON");
+    let doc = Obj::new()
+        .field("bench", "runtime")
+        .field("fast", cfg.fast)
+        .field("host_cpus", host_cpus)
+        .field("backend_default", ssdrec_tensor::backend_kind().name())
+        .field(
+            "kernel_contract",
+            Obj::new()
+                .field("version", KERNEL_BITS_VERSION)
+                .field("max_ulps", KERNEL_BITS_MAX_ULPS),
+        )
+        .field("bit_identical_across_sweep", true)
+        .field(
+            "speedup_at_4_threads",
+            Obj::new()
+                .field("gemm", speedup_gemm_4)
+                .field("eval", speedup_eval_4),
+        )
+        .field("gemm_speedup_best_1t", gemm_speedup_best)
+        .field("kernel_sweep_1t", kernel_sweep)
+        .field("sweep", sweep);
+    let parsed = write_report("runtime", doc);
     assert_eq!(
         parsed
             .get("sweep")
@@ -439,12 +422,9 @@ fn main() {
         Some(kernels.len())
     );
 
-    let path = repo_root().join("BENCH_runtime.json");
-    std::fs::write(&path, &json).expect("write BENCH_runtime.json");
     println!(
         "bench_runtime: speedup@4 gemm {speedup_gemm_4:.2}x, eval {speedup_eval_4:.2}x, \
          best 1-thread gemm speedup over the oracle {gemm_speedup_best:.2}x \
-         (host has {host_cpus} cpu(s)); wrote {}",
-        path.display()
+         (host has {host_cpus} cpu(s))"
     );
 }

@@ -5,13 +5,13 @@
 //! clients (each waits for its response before sending the next request).
 //! Reports client-observed latency percentiles and throughput next to the
 //! server's own `/metrics` view, and writes a CSV latency report to
-//! `target/ssdrec-bench/`.
+//! `target/ssdrec-bench/serve_latency.csv` under the workspace root.
 //!
 //! `cargo run --release -p ssdrec-bench --bin bench_serve \
-//!     [--full] [--clients N] [--requests N]`
+//!     [--fast | --full] [--clients N] [--requests N]`
 //!
-//! `SSDREC_BENCH_FAST=1` (the CI smoke) shrinks everything to a few
-//! seconds.
+//! `--fast` (or `SSDREC_BENCH_FAST=1`, the CI smoke) shrinks everything to
+//! a few seconds.
 //!
 //! With `--retrieval` the binary instead runs the **retrieval harness**:
 //! engine-level closed-loop comparison of the exact full-rank path against
@@ -19,7 +19,7 @@
 //! scale — 10K items in fast mode, 10K/100K by default, plus 1M with
 //! `--full`. Reports single-thread QPS, p50/p95/p99, ANN-vs-exact
 //! recall@{10,20} and index build wall-clock to `BENCH_retrieval.json` at
-//! the repository root, and asserts the determinism contract (rebuild
+//! the workspace root, and asserts the determinism contract (rebuild
 //! byte-identical, 1-vs-4-thread build byte-identical, served bits stable).
 
 use std::net::SocketAddr;
@@ -27,11 +27,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ssdrec_bench::timed;
+use ssdrec_bench::{bench_dir, percentile, timed, Mode};
 use ssdrec_core::{SsdRec, SsdRecConfig};
 use ssdrec_data::{prepare, Split, SyntheticConfig};
 use ssdrec_graph::{build_graph, GraphConfig, MultiRelationGraph};
 use ssdrec_models::{train, BackboneKind, TrainConfig};
+use ssdrec_serve::json::Obj;
 use ssdrec_serve::{client, serve, Engine, EngineConfig, ServerStats};
 use ssdrec_tensor::{load_params, save_params};
 
@@ -46,35 +47,31 @@ struct LoadConfig {
 
 fn config() -> LoadConfig {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1");
-    let full = args.iter().any(|a| a == "--full");
-    let mut cfg = if fast {
-        LoadConfig {
+    let mut cfg = match Mode::current() {
+        Mode::Fast => LoadConfig {
             scale: 0.03,
             epochs: 1,
             clients: 4,
             requests_per_client: 8,
             max_len: 12,
             dim: 8,
-        }
-    } else if full {
-        LoadConfig {
+        },
+        Mode::Full => LoadConfig {
             scale: 0.35,
             epochs: 5,
             clients: 8,
             requests_per_client: 100,
             max_len: 50,
             dim: 16,
-        }
-    } else {
-        LoadConfig {
+        },
+        Mode::Default => LoadConfig {
             scale: 0.1,
             epochs: 2,
             clients: 4,
             requests_per_client: 40,
             max_len: 20,
             dim: 8,
-        }
+        },
     };
     let flag = |name: &str| {
         args.iter()
@@ -89,23 +86,6 @@ fn config() -> LoadConfig {
         cfg.requests_per_client = r.max(1);
     }
     cfg
-}
-
-/// Outermost ancestor holding a `Cargo.lock` — the workspace root, where
-/// the committed bench reports live.
-fn repo_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    cwd.ancestors()
-        .filter(|a| a.join("Cargo.lock").is_file())
-        .last()
-        .map(PathBuf::from)
-        .unwrap_or(cwd)
-}
-
-fn out_dir() -> PathBuf {
-    let dir = PathBuf::from("target/ssdrec-bench");
-    std::fs::create_dir_all(&dir).expect("create target/ssdrec-bench");
-    dir
 }
 
 fn checkpointed_world(cfg: &LoadConfig) -> (Split, MultiRelationGraph, PathBuf) {
@@ -139,17 +119,14 @@ fn checkpointed_world(cfg: &LoadConfig) -> (Split, MultiRelationGraph, PathBuf) 
     });
     println!("trained {} in {train_secs:.1}s", "SSDRec[SASRec]");
 
-    let ckpt = out_dir().join("serve_ckpt.ssdt");
+    let ckpt = bench_dir().join("serve_ckpt.ssdt");
     save_params(&model.store, &ckpt).expect("write checkpoint");
     (split, graph, ckpt)
 }
 
-fn percentile(sorted_us: &[u64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((q * sorted_us.len() as f64).ceil() as usize).clamp(1, sorted_us.len()) - 1;
-    sorted_us[idx] as f64 / 1000.0
+/// The `q`-quantile of sorted µs latencies, in ms.
+fn quantile_ms(sorted_us: &[u64], q: f64) -> f64 {
+    percentile(sorted_us, q) as f64 / 1000.0
 }
 
 fn drive_load(addr: SocketAddr, split: &Split, cfg: &LoadConfig) -> (Vec<u64>, f64) {
@@ -164,13 +141,11 @@ fn drive_load(addr: SocketAddr, split: &Split, cfg: &LoadConfig) -> (Vec<u64>, f
                 let mut latencies = Vec::with_capacity(n);
                 for r in 0..n {
                     let (user, seq) = &examples[(c * 131 + r) % examples.len()];
-                    let body = format!(
-                        "{{\"user\":{user},\"seq\":[{}],\"k\":10}}",
-                        seq.iter()
-                            .map(|i| i.to_string())
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    );
+                    let body = Obj::new()
+                        .field("user", user)
+                        .field("seq", seq)
+                        .field("k", 10u32)
+                        .finish();
                     let t0 = Instant::now();
                     let (status, resp) = client::post(addr, "/recommend", &body).expect("request");
                     latencies.push(t0.elapsed().as_micros() as u64);
@@ -236,9 +211,9 @@ fn main() {
     let total = latencies.len();
     let qps = total as f64 / wall_secs;
     let (p50, p95, p99) = (
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.95),
-        percentile(&latencies, 0.99),
+        quantile_ms(&latencies, 0.50),
+        quantile_ms(&latencies, 0.95),
+        quantile_ms(&latencies, 0.99),
     );
     let mean = latencies.iter().sum::<u64>() as f64 / total.max(1) as f64 / 1000.0;
 
@@ -251,7 +226,7 @@ fn main() {
     assert_eq!(status, 200);
     println!("server /metrics: {metrics}");
 
-    let report = out_dir().join("serve_latency.csv");
+    let report = bench_dir().join("serve_latency.csv");
     let csv = format!(
         "clients,requests,wall_secs,qps,mean_ms,p50_ms,p95_ms,p99_ms\n{},{},{:.3},{:.1},{:.3},{:.3},{:.3},{:.3}\n",
         cfg.clients, total, wall_secs, qps, mean, p50, p95, p99
@@ -269,11 +244,12 @@ mod retrieval {
     use std::time::{Duration, Instant};
 
     use ssdrec_ann::{AnnParams, HnswIndex};
+    use ssdrec_bench::{write_report, Mode};
     use ssdrec_models::{BackboneKind, SeqRec};
     use ssdrec_serve::{Engine, EngineConfig, RetrievalConfig, RetrievalMode, ServerStats};
     use ssdrec_tensor::Graph;
 
-    use super::{percentile, repo_root};
+    use super::{quantile_ms, Obj};
 
     const MAX_LEN: usize = 20;
     const K: usize = 20;
@@ -286,27 +262,22 @@ mod retrieval {
     }
 
     fn config() -> RetrievalCfg {
-        let fast = std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1")
-            || std::env::args().any(|a| a == "--fast");
-        let full = std::env::args().any(|a| a == "--full");
-        if fast {
-            RetrievalCfg {
+        match Mode::current() {
+            Mode::Fast => RetrievalCfg {
                 fast: true,
                 catalogs: vec![(10_000, 8)],
                 queries: 40,
-            }
-        } else if full {
-            RetrievalCfg {
+            },
+            Mode::Full => RetrievalCfg {
                 fast: false,
                 catalogs: vec![(10_000, 16), (100_000, 16), (1_000_000, 16)],
                 queries: 200,
-            }
-        } else {
-            RetrievalCfg {
+            },
+            Mode::Default => RetrievalCfg {
                 fast: false,
                 catalogs: vec![(10_000, 16), (100_000, 16)],
                 queries: 200,
-            }
+            },
         }
     }
 
@@ -418,7 +389,7 @@ mod retrieval {
         println!("determinism at {items0} items: rebuild ok, 1-vs-4-thread ok");
 
         let retrieval = RetrievalConfig::default(); // m=16, ef_search=128
-        let mut rows = Vec::new();
+        let mut rows: Vec<Obj> = Vec::new();
         for &(items, dim) in &cfg.catalogs {
             let qs = queries(items, cfg.queries);
             println!("catalogue {items} (dim {dim}): {} queries", qs.len());
@@ -473,44 +444,44 @@ mod retrieval {
                 );
             }
 
-            rows.push(format!(
-                "    {{\"items\": {items}, \"dim\": {dim}, \"queries\": {}, \
-                 \"build_ms\": {build_ms:.1}, \
-                 \"exact_qps\": {exact_qps:.1}, \"ann_qps\": {ann_qps:.1}, \
-                 \"speedup\": {speedup:.3}, \
-                 \"exact_p50_ms\": {:.3}, \"exact_p95_ms\": {:.3}, \"exact_p99_ms\": {:.3}, \
-                 \"ann_p50_ms\": {:.3}, \"ann_p95_ms\": {:.3}, \"ann_p99_ms\": {:.3}, \
-                 \"recall_at_10\": {r10:.4}, \"recall_at_20\": {r20:.4}, \
-                 \"serve_bits_stable\": true}}",
-                qs.len(),
-                percentile(&exact_lat, 0.50),
-                percentile(&exact_lat, 0.95),
-                percentile(&exact_lat, 0.99),
-                percentile(&ann_lat, 0.50),
-                percentile(&ann_lat, 0.95),
-                percentile(&ann_lat, 0.99),
-            ));
+            rows.push(
+                Obj::new()
+                    .field("items", items)
+                    .field("dim", dim)
+                    .field("queries", qs.len())
+                    .field("build_ms", build_ms)
+                    .field("exact_qps", exact_qps)
+                    .field("ann_qps", ann_qps)
+                    .field("speedup", speedup)
+                    .field("exact_p50_ms", quantile_ms(&exact_lat, 0.50))
+                    .field("exact_p95_ms", quantile_ms(&exact_lat, 0.95))
+                    .field("exact_p99_ms", quantile_ms(&exact_lat, 0.99))
+                    .field("ann_p50_ms", quantile_ms(&ann_lat, 0.50))
+                    .field("ann_p95_ms", quantile_ms(&ann_lat, 0.95))
+                    .field("ann_p99_ms", quantile_ms(&ann_lat, 0.99))
+                    .field("recall_at_10", r10)
+                    .field("recall_at_20", r20)
+                    .field("serve_bits_stable", true),
+            );
         }
 
         let params = AnnParams::default();
-        let json = format!(
-            "{{\n  \"bench\": \"retrieval\",\n  \"fast\": {},\n  \"threads\": 1,\n  \
-             \"k\": {K},\n  \
-             \"ann\": {{\"m\": {}, \"ef_construction\": {}, \"ef_search\": {}}},\n  \
-             \"deterministic_rebuild\": {rebuild_ok},\n  \
-             \"thread_invariant_build\": {threads_ok},\n  \
-             \"catalogs\": [\n{}\n  ]\n}}\n",
-            cfg.fast,
-            params.m,
-            params.ef_construction,
-            retrieval.ef_search,
-            rows.join(",\n")
-        );
-
-        // Self-check: the report must parse with the workspace JSON parser
-        // and keep the recall field CI greps for.
-        let parsed =
-            ssdrec_serve::json::parse(&json).expect("BENCH_retrieval.json must be valid JSON");
+        let doc = Obj::new()
+            .field("bench", "retrieval")
+            .field("fast", cfg.fast)
+            .field("threads", 1u32)
+            .field("k", K)
+            .field(
+                "ann",
+                Obj::new()
+                    .field("m", params.m)
+                    .field("ef_construction", params.ef_construction)
+                    .field("ef_search", retrieval.ef_search),
+            )
+            .field("deterministic_rebuild", rebuild_ok)
+            .field("thread_invariant_build", threads_ok)
+            .field("catalogs", rows);
+        let parsed = write_report("retrieval", doc);
         let cats = parsed
             .get("catalogs")
             .and_then(|c| c.as_arr())
@@ -523,9 +494,5 @@ mod retrieval {
                 .expect("recall_at_10 field");
             assert!(r >= 0.95);
         }
-
-        let path = repo_root().join("BENCH_retrieval.json");
-        std::fs::write(&path, &json).expect("write BENCH_retrieval.json");
-        println!("wrote {}", path.display());
     }
 }

@@ -12,20 +12,21 @@
 //!    thread publishes and hot-swaps further versions; the p99 of those
 //!    acquisitions is the swap pause a live request can observe.
 //!
-//! The report is written to `target/ssdrec-bench/bench_stream.json` and to
-//! `BENCH_stream.json` at the repository root.
+//! The report is written to `target/ssdrec-bench/stream.json` and to
+//! `BENCH_stream.json` at the workspace root.
 //!
 //! `cargo run --release -p ssdrec-bench --bin bench_stream [-- --fast]`
 //!
 //! `--fast` (or `SSDREC_BENCH_FAST=1`) shrinks the catalog and round count
 //! to a CI smoke.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use ssdrec_bench::{bench_dir, write_report, Mode};
 use ssdrec_models::{BackboneKind, TrainConfig};
+use ssdrec_serve::json::Obj;
 use ssdrec_serve::{
     Engine, EngineConfig, EngineSlot, LatencyHistogram, LoadedModel, ReloadOutcome, ServerStats,
 };
@@ -44,8 +45,7 @@ struct Config {
 }
 
 fn config() -> Config {
-    let fast = std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1")
-        || std::env::args().skip(1).any(|a| a == "--fast");
+    let fast = Mode::current().is_fast();
     if fast {
         Config {
             fast,
@@ -65,17 +65,6 @@ fn config() -> Config {
             swaps: 4,
         }
     }
-}
-
-/// The outermost ancestor holding a `Cargo.lock` — the workspace root
-/// (cargo runs bin targets with cwd = the package dir).
-fn repo_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    cwd.ancestors()
-        .filter(|a| a.join("Cargo.lock").is_file())
-        .last()
-        .map(PathBuf::from)
-        .unwrap_or(cwd)
 }
 
 fn spec(cfg: &Config) -> RetrainSpec {
@@ -112,10 +101,7 @@ fn main() {
         if cfg.fast { " (fast mode)" } else { "" }
     );
 
-    let work = repo_root()
-        .join("target")
-        .join("ssdrec-bench")
-        .join("stream-work");
+    let work = bench_dir().join("stream-work");
     let _ = std::fs::remove_dir_all(&work);
     std::fs::create_dir_all(&work).expect("scratch dir");
     let log_path = work.join("events.sslg");
@@ -248,30 +234,21 @@ fn main() {
         pauses.count()
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"stream\",\n  \"fast\": {},\n  \"threads\": {},\n  \
-         \"ingest_records\": {},\n  \"ingest_records_per_sec\": {:.1},\n  \
-         \"retrain_full_ms\": {:.3},\n  \"retrain_delta_ms\": {:.3},\n  \
-         \"swaps\": {},\n  \"swap_mean_ms\": {:.3},\n  \"final_model_version\": {},\n  \
-         \"pause_samples\": {},\n  \"swap_pause_p50_ms\": {:.6},\n  \
-         \"swap_pause_p99_ms\": {:.6}\n}}\n",
-        cfg.fast,
-        threads,
-        ingest_records,
-        ingest_rps,
-        retrain_full_ms,
-        retrain_delta_ms,
-        cfg.swaps,
-        swap_mean_ms,
-        final_version,
-        pauses.count(),
-        pause_p50_ms,
-        pause_p99_ms,
-    );
-
-    // Self-check: the report must parse with the workspace JSON parser and
-    // carry the fields CI validates.
-    let parsed = ssdrec_serve::json::parse(&json).expect("BENCH_stream.json must be valid JSON");
+    let doc = Obj::new()
+        .field("bench", "stream")
+        .field("fast", cfg.fast)
+        .field("threads", threads)
+        .field("ingest_records", ingest_records)
+        .field("ingest_records_per_sec", ingest_rps)
+        .field("retrain_full_ms", retrain_full_ms)
+        .field("retrain_delta_ms", retrain_delta_ms)
+        .field("swaps", cfg.swaps)
+        .field("swap_mean_ms", swap_mean_ms)
+        .field("final_model_version", final_version)
+        .field("pause_samples", pauses.count())
+        .field("swap_pause_p50_ms", pause_p50_ms)
+        .field("swap_pause_p99_ms", pause_p99_ms);
+    let parsed = write_report("stream", doc);
     for field in [
         "ingest_records",
         "swaps",
@@ -295,16 +272,8 @@ fn main() {
         );
     }
 
-    let target = repo_root().join("target").join("ssdrec-bench");
-    let _ = std::fs::create_dir_all(&target);
-    let _ = std::fs::write(target.join("bench_stream.json"), &json);
-    let path = repo_root().join("BENCH_stream.json");
-    std::fs::write(&path, &json).expect("write BENCH_stream.json");
     println!(
-        "bench_stream: {:.0} rec/s ingest, {:.1} ms delta retrain, {:.3} ms swap-pause p99; wrote {}",
-        ingest_rps,
-        retrain_delta_ms,
-        pause_p99_ms,
-        path.display()
+        "bench_stream: {:.0} rec/s ingest, {:.1} ms delta retrain, {:.3} ms swap-pause p99",
+        ingest_rps, retrain_delta_ms, pause_p99_ms
     );
 }

@@ -3,13 +3,14 @@
 //!
 //! Usage: `cargo run --release -p ssdrec-bench --bin ext_ablation_encoder [--full]`
 
-use ssdrec_bench::{metric_header, metric_row, prepare_profile, write_results, HarnessConfig};
+use ssdrec_bench::{
+    metric_header, metric_row, prepare_profile, write_results, HarnessConfig, Mode,
+};
 use ssdrec_core::{SsdRec, SsdRecConfig};
 use ssdrec_models::{train, BackboneKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
+    let h = HarnessConfig::for_mode(Mode::current());
 
     let mut csv = Vec::new();
     for ds in ["beauty", "yelp"] {

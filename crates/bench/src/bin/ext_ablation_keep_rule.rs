@@ -6,7 +6,7 @@
 //!
 //! Usage: `cargo run --release -p ssdrec-bench --bin ext_ablation_keep_rule [--full]`
 
-use ssdrec_bench::{write_results, HarnessConfig};
+use ssdrec_bench::{write_results, HarnessConfig, Mode};
 use ssdrec_core::{SsdRec, SsdRecConfig};
 use ssdrec_data::{inject_unobserved, prepare, SyntheticConfig};
 use ssdrec_denoise::Denoiser;
@@ -15,8 +15,7 @@ use ssdrec_metrics::OupAccumulator;
 use ssdrec_models::{train, BackboneKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut h = HarnessConfig::from_args(&args);
+    let mut h = HarnessConfig::for_mode(Mode::current());
     h.epochs = h.epochs.max(12);
     h.patience = h.patience.max(12);
 

@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run --release -p ssdrec-bench --bin ext_beyond_accuracy [--full]`
 
-use ssdrec_bench::{prepare_profile, run_ssdrec, write_results, HarnessConfig};
+use ssdrec_bench::{prepare_profile, run_ssdrec, write_results, HarnessConfig, Mode};
 use ssdrec_metrics::RecListAccumulator;
 use ssdrec_models::{BackboneKind, RecModel, SeqRec};
 
@@ -29,8 +29,7 @@ fn measure<M: RecModel>(model: &M, prep: &ssdrec_bench::Prepared, k: usize) -> (
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
+    let h = HarnessConfig::for_mode(Mode::current());
     let k = 10;
 
     println!("Beyond-accuracy comparison (top-{k} lists on the test users)");

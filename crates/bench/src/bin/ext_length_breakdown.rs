@@ -6,7 +6,9 @@
 //!
 //! Usage: `cargo run --release -p ssdrec-bench --bin ext_length_breakdown [--full]`
 
-use ssdrec_bench::{datasets_from_args, prepare_profile, run_ssdrec, write_results, HarnessConfig};
+use ssdrec_bench::{
+    datasets_from_args, prepare_profile, run_ssdrec, write_results, HarnessConfig, Mode,
+};
 use ssdrec_data::make_batches;
 use ssdrec_metrics::{full_rank, LengthBuckets};
 use ssdrec_models::{train, BackboneKind, RecModel, SeqRec};
@@ -30,7 +32,7 @@ fn bucketed<M: RecModel>(model: &M, split: &ssdrec_data::Split) -> LengthBuckets
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
+    let h = HarnessConfig::for_mode(Mode::current());
     let mut datasets = datasets_from_args(&args);
     if !args.iter().any(|a| a == "--datasets") {
         datasets = vec!["ml-100k".into(), "beauty".into()];

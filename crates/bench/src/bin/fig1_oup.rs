@@ -13,7 +13,7 @@
 //! Usage:
 //! `cargo run --release -p ssdrec-bench --bin fig1_oup [--full] [--sweep-insert]`
 
-use ssdrec_bench::{write_results, HarnessConfig};
+use ssdrec_bench::{write_results, HarnessConfig, Mode};
 use ssdrec_core::{SsdRec, SsdRecConfig};
 use ssdrec_data::{inject_unobserved, prepare, SyntheticConfig};
 use ssdrec_denoise::{Denoiser, Hsd, Steam};
@@ -100,7 +100,7 @@ fn run_one(per_seq: usize, h: &HarnessConfig, csv: &mut Vec<String>) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut h = HarnessConfig::from_args(&args);
+    let mut h = HarnessConfig::for_mode(Mode::current());
     // OUP needs the denoiser past its conservative warm-up phase.
     h.epochs = h.epochs.max(12);
     h.patience = h.patience.max(12);

@@ -6,13 +6,13 @@
 //! Usage:
 //! `cargo run --release -p ssdrec-bench --bin fig4_case_study [--full] [--users N]`
 
-use ssdrec_bench::{prepare_profile, run_ssdrec, write_results, HarnessConfig};
+use ssdrec_bench::{prepare_profile, run_ssdrec, write_results, HarnessConfig, Mode};
 use ssdrec_models::BackboneKind;
 use ssdrec_tensor::Rng;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
+    let h = HarnessConfig::for_mode(Mode::current());
     let n_users = args
         .iter()
         .position(|a| a == "--users")

@@ -5,14 +5,16 @@
 //! Usage:
 //! `cargo run --release -p ssdrec-bench --bin fig5_tau [--full] [--datasets ml-100k,yelp]`
 
-use ssdrec_bench::{datasets_from_args, prepare_profile, run_ssdrec, write_results, HarnessConfig};
+use ssdrec_bench::{
+    datasets_from_args, prepare_profile, run_ssdrec, write_results, HarnessConfig, Mode,
+};
 use ssdrec_models::BackboneKind;
 
 const TAUS: [f32; 6] = [1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
+    let h = HarnessConfig::for_mode(Mode::current());
     let mut datasets = datasets_from_args(&args);
     if !args.iter().any(|a| a == "--datasets") {
         // Default to the two ends of the paper's size spectrum to keep the

@@ -6,7 +6,7 @@
 //!
 //! Usage: `cargo run --release -p ssdrec-bench --bin table2_stats [--full]`
 
-use ssdrec_bench::{prepare_profile, write_results, HarnessConfig, DATASETS};
+use ssdrec_bench::{prepare_profile, write_results, HarnessConfig, Mode, DATASETS};
 
 /// The paper's Table II rows for reference printing.
 const PAPER: [(&str, usize, usize, usize, f64, f64); 5] = [
@@ -18,8 +18,7 @@ const PAPER: [(&str, usize, usize, usize, f64, f64); 5] = [
 ];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
+    let h = HarnessConfig::for_mode(Mode::current());
 
     println!("Table II — dataset statistics (simulated profiles vs paper)");
     println!(

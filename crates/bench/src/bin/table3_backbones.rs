@@ -8,7 +8,7 @@
 
 use ssdrec_bench::{
     datasets_from_args, metric_csv, metric_header, metric_row, prepare_profile, run_backbone,
-    run_ssdrec, write_results, HarnessConfig,
+    run_ssdrec, write_results, HarnessConfig, Mode,
 };
 use ssdrec_models::BackboneKind;
 
@@ -33,7 +33,7 @@ fn models_from_args(args: &[String]) -> Vec<BackboneKind> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
+    let h = HarnessConfig::for_mode(Mode::current());
     let datasets = datasets_from_args(&args);
     let models = models_from_args(&args);
 

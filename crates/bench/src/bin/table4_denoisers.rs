@@ -8,20 +8,22 @@
 //! `cargo run --release -p ssdrec-bench --bin table4_denoisers \
 //!     [--full | --fast] [--datasets beauty]`
 //!
-//! `--fast` is the CI smoke: two epochs at a tiny scale on one dataset
+//! `--fast` (or `SSDREC_BENCH_FAST=1`) is the CI smoke: two epochs at a tiny scale on one dataset
 //! (unless `--datasets` overrides), emitting a machine-checkable JSON
 //! report to `results/table4_fast.json` with one row per method.
 use ssdrec_bench::{
     datasets_from_args, metric_csv, metric_header, metric_row, prepare_profile, run_denoiser,
-    run_ssdrec, write_results, DenoiserKind, HarnessConfig,
+    run_ssdrec, write_results, DenoiserKind, HarnessConfig, Mode,
 };
 use ssdrec_metrics::welch_t_test;
 use ssdrec_models::BackboneKind;
+use ssdrec_serve::json::{Obj, ToJson};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let h = HarnessConfig::from_args(&args);
+    let mode = Mode::current();
+    let fast = mode.is_fast();
+    let h = HarnessConfig::for_mode(mode);
     let datasets = if fast && !args.iter().any(|a| a == "--datasets") {
         vec!["sports".to_string()]
     } else {
@@ -29,12 +31,16 @@ fn main() {
     };
 
     let mut csv = Vec::new();
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut json_rows: Vec<Obj> = Vec::new();
     let mut push_json = |ds: &str, name: &str, m: &ssdrec_metrics::MetricReport| {
-        json_rows.push(format!(
-            "{{\"dataset\":\"{ds}\",\"model\":\"{name}\",\"hr10\":{:.6},\"hr20\":{:.6},\"ndcg10\":{:.6}}}",
-            m.hr10, m.hr20, m.ndcg10
-        ));
+        json_rows.push(
+            Obj::new()
+                .field("dataset", ds)
+                .field("model", name)
+                .field("hr10", m.hr10)
+                .field("hr20", m.hr20)
+                .field("ndcg10", m.ndcg10),
+        );
     };
     for ds in &datasets {
         let prep = prepare_profile(ds, &h);
@@ -91,7 +97,8 @@ fn main() {
         &csv,
     );
     if fast {
-        let json = format!("[\n{}\n]", json_rows.join(",\n"));
+        let mut json = String::new();
+        json_rows.write_json(&mut json);
         write_results("table4_fast.json", &json, &[]);
         println!("{json}");
     }

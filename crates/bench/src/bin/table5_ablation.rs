@@ -7,13 +7,13 @@
 
 use ssdrec_bench::{
     datasets_from_args, metric_csv, metric_header, metric_row, prepare_profile, run_denoiser,
-    run_ssdrec, write_results, DenoiserKind, HarnessConfig,
+    run_ssdrec, write_results, DenoiserKind, HarnessConfig, Mode,
 };
 use ssdrec_models::BackboneKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
+    let h = HarnessConfig::for_mode(Mode::current());
     let mut datasets = datasets_from_args(&args);
     // The paper runs this table on ML-100K only; we default to ML-100K plus
     // Beauty so both sequence-length regimes are covered (stage 2 only

@@ -10,7 +10,7 @@
 //! `cargo run --release -p ssdrec-bench --bin table6_efficiency [--full] [--datasets beauty]`
 
 use ssdrec_bench::{
-    datasets_from_args, measure_efficiency, prepare_profile, write_results, HarnessConfig,
+    datasets_from_args, measure_efficiency, prepare_profile, write_results, HarnessConfig, Mode,
 };
 use ssdrec_core::{SsdRec, SsdRecConfig};
 use ssdrec_denoise::{DcRec, Hsd, Steam};
@@ -18,7 +18,7 @@ use ssdrec_models::BackboneKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
+    let h = HarnessConfig::for_mode(Mode::current());
     let datasets = datasets_from_args(&args);
 
     println!("Table VI — per-epoch training / inference seconds");

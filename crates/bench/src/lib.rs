@@ -2,11 +2,17 @@
 //!
 //! The benchmark harness: shared experiment plumbing for the binaries that
 //! regenerate every table and figure of the paper (see `DESIGN.md` §3 for
-//! the experiment index) and the Criterion micro-benchmarks.
+//! the experiment index), the [`micro`] timer behind the `cargo bench`
+//! targets, and the one [`report`] path every bench output goes through.
 
 #![warn(missing_docs)]
 
+pub mod micro;
+pub mod report;
+
 use std::time::Instant;
+
+pub use report::{bench_dir, peak_rss_bytes, percentile, workspace_root, write_report, Mode};
 
 use ssdrec_core::{SsdRec, SsdRecConfig};
 use ssdrec_data::{prepare, Dataset, Split, SyntheticConfig};
@@ -77,15 +83,13 @@ impl HarnessConfig {
         }
     }
 
-    /// Parse `--full` / `--fast` / `--quick` from CLI args (quick is the
-    /// default).
-    pub fn from_args(args: &[String]) -> Self {
-        if args.iter().any(|a| a == "--full") {
-            Self::standard()
-        } else if args.iter().any(|a| a == "--fast") {
-            Self::fast()
-        } else {
-            Self::quick()
+    /// The scale for a run [`Mode`]: fast → [`Self::fast`], full →
+    /// [`Self::standard`], default → [`Self::quick`].
+    pub fn for_mode(mode: Mode) -> Self {
+        match mode {
+            Mode::Fast => Self::fast(),
+            Mode::Default => Self::quick(),
+            Mode::Full => Self::standard(),
         }
     }
 
@@ -297,8 +301,8 @@ pub fn metric_csv(dataset: &str, name: &str, m: &MetricReport) -> String {
 /// directory if needed. Errors are printed, not fatal — results also go to
 /// stdout.
 pub fn write_results(file: &str, header: &str, lines: &[String]) {
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
+    let dir = workspace_root().join("results");
+    if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warn: cannot create results dir: {e}");
         return;
     }
@@ -382,8 +386,12 @@ mod tests {
     fn args_parsing() {
         let args = vec!["--datasets".into(), "beauty,yelp".into(), "--full".into()];
         assert_eq!(datasets_from_args(&args), vec!["beauty", "yelp"]);
-        assert_eq!(HarnessConfig::from_args(&args).scale, 1.0);
-        assert_eq!(HarnessConfig::from_args(&[]).scale, 0.35);
+        assert_eq!(
+            HarnessConfig::for_mode(Mode::resolve(None, &args)).scale,
+            1.0
+        );
+        assert_eq!(HarnessConfig::for_mode(Mode::Default).scale, 0.35);
+        assert_eq!(HarnessConfig::for_mode(Mode::Fast).scale, 0.08);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! round-trip float formatting, so a score serialised here and parsed back
 //! with `str::parse::<f32>` reproduces the exact bit pattern — the property
 //! the serving parity test relies on.
+//!
+//! [`Obj`] and [`ToJson`] are the one writer for whole documents
+//! (`/metrics`, the bench reports): compact, keys in the order they are
+//! added, integers written exactly (a `u64` above 2^53 does not pass through
+//! an `f64`), every string escaped, non-finite floats written as `null`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -271,6 +276,11 @@ impl<'a> Parser<'a> {
 /// Escape and quote a string for JSON output.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    quote_into(&mut out, s);
+    out
+}
+
+fn quote_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -286,7 +296,6 @@ pub fn quote(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Format an f32 with shortest round-trip representation (Rust's `Display`),
@@ -305,6 +314,96 @@ pub fn f64_to_json(x: f64) -> String {
         format!("{x}")
     } else {
         "null".to_string()
+    }
+}
+
+/// A value [`Obj`] can write; a `Vec` of them is written as an array.
+pub trait ToJson {
+    /// Append this value's JSON encoding to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+macro_rules! int_to_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+int_to_json!(u32, u64, usize);
+
+impl ToJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&f64_to_json(*self));
+    }
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        quote_into(out, self);
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// An object being written: `Obj::new().field("a", 1u64).finish()` is
+/// `{"a":1}`. Holds the fields written so far, without the braces.
+#[derive(Clone, Debug, Default)]
+pub struct Obj(String);
+
+impl Obj {
+    /// An empty object.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append `"key":value` after the fields added so far.
+    pub fn field(mut self, key: &str, value: impl ToJson) -> Self {
+        if !self.0.is_empty() {
+            self.0.push(',');
+        }
+        quote_into(&mut self.0, key);
+        self.0.push(':');
+        value.write_json(&mut self.0);
+        self
+    }
+
+    /// The finished document.
+    pub fn finish(self) -> String {
+        format!("{{{}}}", self.0)
+    }
+}
+
+impl ToJson for Obj {
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        out.push_str(&self.0);
+        out.push('}');
     }
 }
 
@@ -374,6 +473,23 @@ mod tests {
             let back: f32 = enc.parse().unwrap();
             assert_eq!(x.to_bits(), back.to_bits(), "{enc}");
         }
+    }
+
+    #[test]
+    fn writer_keeps_order_and_compact_bytes() {
+        let doc = Obj::new()
+            .field("z", 1u64)
+            .field("a", vec![0.5, f64::NAN, f64::INFINITY])
+            .field("s", "x\"y")
+            .field("m", Obj::new().field("ok", true))
+            .field("e", Obj::new())
+            .field("v", vec![vec![1u32, 2], vec![]])
+            .field("big", u64::MAX)
+            .finish();
+        assert_eq!(
+            doc,
+            r#"{"z":1,"a":[0.5,null,null],"s":"x\"y","m":{"ok":true},"e":{},"v":[[1,2],[]],"big":18446744073709551615}"#
+        );
     }
 
     #[test]

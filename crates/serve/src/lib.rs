@@ -37,5 +37,5 @@ pub use engine::{
     Engine, EngineConfig, InferenceModel, RecError, Recommendation, RetrievalConfig, RetrievalMode,
 };
 pub use server::{serve, serve_slot, serve_with, ServeConfig, ServerHandle};
-pub use stats::{LatencyHistogram, RetrievalInfo, ServerStats};
+pub use stats::{nearest_rank, LatencyHistogram, RetrievalInfo, ServerStats};
 pub use swap::{EngineSlot, LoadedModel, ModelLoader, ReloadOutcome};

@@ -6,6 +6,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::json::Obj;
+
 /// Geometric bucket-boundary ratio ≈ ×1.3 per bucket, from 1 µs up to
 /// about a minute — resolution well under one histogram bucket of error at
 /// every latency scale this server can plausibly produce.
@@ -16,6 +18,21 @@ fn boundaries() -> Vec<u64> {
         edges.push((last + (last * 3).div_ceil(10)).max(last + 1));
     }
     edges
+}
+
+/// The workspace's one percentile rule, by nearest rank: the 1-based rank
+/// of the `q`-quantile (`0 ≤ q ≤ 1`) in a sample of `n ≥ 1` — the smallest
+/// `r` with `r ≥ q·n`, clamped to `1..=n`. A product within 1e-9 of an
+/// integer counts as that integer, so float noise in `q` (0.07 · 100 =
+/// 7.000000000000001) cannot push the rank one past the exact one.
+pub fn nearest_rank(q: f64, n: usize) -> usize {
+    let x = q * n as f64;
+    let r = if (x - x.round()).abs() <= 1e-9 * x.abs().max(1.0) {
+        x.round()
+    } else {
+        x.ceil()
+    };
+    (r.max(0.0) as usize).clamp(1, n.max(1))
 }
 
 /// A concurrent latency histogram over microsecond buckets.
@@ -65,7 +82,8 @@ impl LatencyHistogram {
     }
 
     /// The `q`-quantile (`0 < q ≤ 1`) in milliseconds, estimated as the
-    /// upper edge of the bucket holding the quantile observation. Returns
+    /// upper edge of the bucket holding the [`nearest_rank`] observation —
+    /// the same rule the bench reports apply to sorted samples. Returns
     /// 0 when the histogram is empty; any recorded observation yields a
     /// strictly positive estimate (the smallest bucket edge is 1 µs).
     pub fn quantile_ms(&self, q: f64) -> f64 {
@@ -80,7 +98,7 @@ impl LatencyHistogram {
         if total == 0 {
             return 0;
         }
-        let target = ((q * total as f64).ceil() as u64).clamp(1, total);
+        let target = nearest_rank(q, total as usize) as u64;
         let mut seen = 0u64;
         for (i, c) in self.counts.iter().enumerate() {
             seen += c.load(Ordering::Relaxed);
@@ -298,99 +316,114 @@ impl ServerStats {
 
     /// The `/metrics` JSON document.
     pub fn to_json(&self) -> String {
-        use crate::json::f64_to_json;
         let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
         // Per-worker busy fraction of server uptime, in registration order.
         let uptime_us = (self.uptime_secs() * 1e6).max(1.0);
-        let busy: Vec<String> = self
+        let busy: Vec<f64> = self
             .worker_busy_us
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .iter()
-            .map(|c| {
-                let frac = (c.load(Ordering::Relaxed) as f64 / uptime_us).clamp(0.0, 1.0);
-                f64_to_json(frac)
-            })
+            .map(|c| (c.load(Ordering::Relaxed) as f64 / uptime_us).clamp(0.0, 1.0))
             .collect();
-        let workers = format!(
-            "{{\"count\":{},\"busy_fraction\":[{}]}}",
-            busy.len(),
-            busy.join(",")
-        );
+        let workers = Obj::new()
+            .field("count", busy.len())
+            .field("busy_fraction", busy);
         // Tensor-pool telemetry aggregated over every thread that touched
         // the pool (workers included): recycled-buffer hit/miss counts and
         // bytes served from recycled storage.
         let pool = ssdrec_tensor::pool::global_stats();
         let ri = self.retrieval();
-        let retrieval = format!(
-            concat!(
-                "{{\"mode\":\"{}\",\"m\":{},\"ef_search\":{},\"index_build_ms\":{},",
-                "\"candidates\":{{\"count\":{},\"p50\":{},\"p99\":{}}}}}"
-            ),
-            ri.mode,
-            ri.m,
-            ri.ef_search,
-            f64_to_json(ri.build_us as f64 / 1000.0),
-            self.candidates.count(),
-            self.candidates.quantile_raw(0.50),
-            self.candidates.quantile_raw(0.99),
-        );
-        let model = format!(
-            concat!(
-                "{{\"model_version\":{},\"swap_total\":{},\"swap_failed_total\":{},",
-                "\"last_swap_ms\":{},\"sessions_invalidated\":{}}}"
-            ),
-            get(&self.model_version),
-            get(&self.swap_total),
-            get(&self.swap_failed_total),
-            f64_to_json(get(&self.last_swap_us) as f64 / 1000.0),
-            get(&self.sessions_invalidated_total),
-        );
-        format!(
-            concat!(
-                "{{\"uptime_secs\":{},\"requests_total\":{},\"qps\":{},",
-                "\"model\":{},",
-                "\"retrieval\":{},",
-                "\"latency_ms\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{}}},",
-                "\"cache\":{{\"hits\":{},\"misses\":{}}},",
-                "\"batching\":{{\"batches_total\":{},\"batched_requests_total\":{},\"max_batch\":{}}},",
-                "\"workers\":{},",
-                "\"pool\":{{\"pool_hits\":{},\"pool_misses\":{},\"bytes_recycled\":{}}},",
-                "\"faults\":{{\"worker_panics\":{},\"shed_total\":{},\"io_faults\":{},",
-                "\"injected_total\":{}}},",
-                "\"errors_total\":{}}}"
-            ),
-            f64_to_json(self.uptime_secs()),
-            get(&self.requests_total),
-            f64_to_json(self.qps()),
-            model,
-            retrieval,
-            self.latency.count(),
-            f64_to_json(self.latency.mean_ms()),
-            f64_to_json(self.latency.quantile_ms(0.50)),
-            f64_to_json(self.latency.quantile_ms(0.95)),
-            f64_to_json(self.latency.quantile_ms(0.99)),
-            get(&self.cache_hits),
-            get(&self.cache_misses),
-            get(&self.batches_total),
-            get(&self.batched_requests_total),
-            get(&self.max_batch),
-            workers,
-            pool.hits,
-            pool.misses,
-            pool.bytes_recycled,
-            get(&self.worker_panics),
-            get(&self.shed_total),
-            get(&self.io_faults),
-            ssdrec_faults::total_fired(),
-            get(&self.errors_total),
-        )
+        let retrieval = Obj::new()
+            .field("mode", ri.mode.as_str())
+            .field("m", ri.m)
+            .field("ef_search", ri.ef_search)
+            .field("index_build_ms", ri.build_us as f64 / 1000.0)
+            .field(
+                "candidates",
+                Obj::new()
+                    .field("count", self.candidates.count())
+                    .field("p50", self.candidates.quantile_raw(0.50))
+                    .field("p99", self.candidates.quantile_raw(0.99)),
+            );
+        let model = Obj::new()
+            .field("model_version", get(&self.model_version))
+            .field("swap_total", get(&self.swap_total))
+            .field("swap_failed_total", get(&self.swap_failed_total))
+            .field("last_swap_ms", get(&self.last_swap_us) as f64 / 1000.0)
+            .field(
+                "sessions_invalidated",
+                get(&self.sessions_invalidated_total),
+            );
+        Obj::new()
+            .field("uptime_secs", self.uptime_secs())
+            .field("requests_total", get(&self.requests_total))
+            .field("qps", self.qps())
+            .field("model", model)
+            .field("retrieval", retrieval)
+            .field(
+                "latency_ms",
+                Obj::new()
+                    .field("count", self.latency.count())
+                    .field("mean", self.latency.mean_ms())
+                    .field("p50", self.latency.quantile_ms(0.50))
+                    .field("p95", self.latency.quantile_ms(0.95))
+                    .field("p99", self.latency.quantile_ms(0.99)),
+            )
+            .field(
+                "cache",
+                Obj::new()
+                    .field("hits", get(&self.cache_hits))
+                    .field("misses", get(&self.cache_misses)),
+            )
+            .field(
+                "batching",
+                Obj::new()
+                    .field("batches_total", get(&self.batches_total))
+                    .field("batched_requests_total", get(&self.batched_requests_total))
+                    .field("max_batch", get(&self.max_batch)),
+            )
+            .field("workers", workers)
+            .field(
+                "pool",
+                Obj::new()
+                    .field("pool_hits", pool.hits)
+                    .field("pool_misses", pool.misses)
+                    .field("bytes_recycled", pool.bytes_recycled),
+            )
+            .field(
+                "faults",
+                Obj::new()
+                    .field("worker_panics", get(&self.worker_panics))
+                    .field("shed_total", get(&self.shed_total))
+                    .field("io_faults", get(&self.io_faults))
+                    .field("injected_total", ssdrec_faults::total_fired()),
+            )
+            .field("errors_total", get(&self.errors_total))
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nearest_rank_is_exact() {
+        for (q, n, want) in [
+            (0.5, 1, 1),
+            (0.5, 4, 2),
+            (0.5, 5, 3),
+            (0.95, 20, 19),
+            (0.99, 100, 99),
+            (0.07, 100, 7),
+            (0.071, 100, 8),
+            (0.0, 10, 1),
+            (1.0, 10, 10),
+        ] {
+            assert_eq!(nearest_rank(q, n), want, "q={q} n={n}");
+        }
+    }
 
     #[test]
     fn empty_histogram_is_zero() {

@@ -6,47 +6,50 @@
 #   2. cargo fmt --check
 #   3. Offline release build of the whole workspace.
 #   4. Offline test run.
-#   5. Bench binaries smoke-run in fast mode (1 iteration each).
-#   6. Serve smoke: train a tiny checkpoint, serve it on an ephemeral
+#   5. Benchmark crate: build and test benchmark/ (its own cargo workspace
+#      over the repository crates) into target/, with its lockfile as is.
+#   6. Bench binaries smoke-run in fast mode (1 iteration each).
+#   7. Serve smoke: train a tiny checkpoint, serve it on an ephemeral
 #      port, issue one request over bash /dev/tcp (no curl), assert a
 #      well-formed response, shut down cleanly.
-#   7. Chaos smoke: re-serve the checkpoint with SSDREC_FAULTS arming one
+#   8. Chaos smoke: re-serve the checkpoint with SSDREC_FAULTS arming one
 #      read fault and one worker panic; retry until the response matches
 #      the fault-free baseline byte-for-byte and /metrics reports the
 #      recovery counters.
-#   8. bench_serve latency-report smoke (writes target/ssdrec-bench/).
-#   9. Thread determinism: the golden HR@10/NDCG@10 test and a CLI train
+#   9. bench_serve latency-report smoke via `--fast` (writes
+#      target/ssdrec-bench/serve_latency.csv).
+#  10. Thread determinism: the golden HR@10/NDCG@10 test and a CLI train
 #      run must produce byte-identical metrics under SSDREC_THREADS=1
 #      and SSDREC_THREADS=4.
-#  10. Pool identity: a CLI train run with the tensor pool on and one with
+#  11. Pool identity: a CLI train run with the tensor pool on and one with
 #      SSDREC_POOL=0 must emit byte-identical metric lines.
-#  11. bench_alloc smoke: the pool-telemetry bench runs in fast mode and
+#  12. bench_alloc smoke: the pool-telemetry bench runs in fast mode and
 #      BENCH_alloc.json parses with its pool fields present.
-#  12. bench_runtime smoke: the thread sweep and the per-kernel
+#  13. bench_runtime smoke: the thread sweep and the per-kernel
 #      oracle-vs-production sweep run in fast mode and BENCH_runtime.json
 #      at the repo root parses as JSON with the kernel_sweep_1t section
 #      present and bits_match on every kernel.
-#  13. Retrieval smoke: re-serve the checkpoint with --retrieval ann at an
+#  14. Retrieval smoke: re-serve the checkpoint with --retrieval ann at an
 #      exhaustive --ef-search; the response body must be byte-identical to
 #      the exact-path baseline and /metrics must report the ann section.
-#  14. bench_serve --retrieval smoke: the recall harness runs in fast mode
+#  15. bench_serve --retrieval smoke: the recall harness runs in fast mode
 #      and BENCH_retrieval.json parses with recall@10 >= 0.95 per catalog.
-#  15. Hot-swap smoke: ingest the smoke profile into an append-only log,
+#  16. Hot-swap smoke: ingest the smoke profile into an append-only log,
 #      retrain into a versioned checkpoint dir, serve CURRENT, capture a
 #      baseline body, ingest a delta under an armed stream.append latency
 #      fault, retrain again, POST /reload — the body must change and
 #      /metrics must report swap_total:1 at the new model_version.
-#  16. bench_stream smoke: the online-loop harness (ingest throughput,
+#  17. bench_stream smoke: the online-loop harness (ingest throughput,
 #      delta-retrain wall-clock, swap pause p99) runs in fast mode and
 #      BENCH_stream.json parses with its telemetry fields present.
-#  17. Out-of-core smoke: gen-data writes a columnar .ssdc file, `train
+#  18. Out-of-core smoke: gen-data writes a columnar .ssdc file, `train
 #      --data` runs off it in windowed and ram modes with byte-identical
 #      metric lines, ingest bulk-loads it into a log, and bench_data runs
 #      in fast mode with a valid BENCH_data.json.
-#  18. Training-scenario smoke: `train --contrastive` and `train --mgsd`
+#  19. Training-scenario smoke: `train --contrastive` and `train --mgsd`
 #      each run two epochs and must emit byte-identical metric lines at
 #      SSDREC_THREADS=1 and --threads 4.
-#  19. table4 --fast smoke: the denoiser table runs every method in fast
+#  20. table4 --fast smoke: the denoiser table runs every method in fast
 #      mode and results/table4_fast.json parses with one row per method,
 #      including the CL4SRec and MGSD-WSS rows.
 #
@@ -96,6 +99,13 @@ cargo build --release --workspace
 
 echo "== offline tests =="
 cargo test --workspace -q
+
+echo "== benchmark crate build + tests =="
+# benchmark/ links the serve API, ssdrec_serve::json and the tensor crate
+# without being a workspace member, so only this stage notices when a
+# workspace change breaks it. It writes nothing under benchmark/.
+CARGO_TARGET_DIR=target/benchmark \
+    cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml -q
 
 echo "== bench smoke (SSDREC_BENCH_FAST=1) =="
 SSDREC_BENCH_FAST=1 cargo bench --workspace -q >/dev/null
@@ -245,7 +255,7 @@ wait "$ANN_PID"
 echo "ok: exhaustive-ef ann bytes match the exact baseline; /metrics reports ann"
 
 echo "== bench_serve latency smoke =="
-SSDREC_BENCH_FAST=1 cargo run --release -q -p ssdrec-bench --bin bench_serve >/dev/null
+cargo run --release -q -p ssdrec-bench --bin bench_serve -- --fast >/dev/null
 test -f target/ssdrec-bench/serve_latency.csv
 echo "ok: latency report at target/ssdrec-bench/serve_latency.csv"
 
